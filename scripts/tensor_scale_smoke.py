@@ -8,6 +8,11 @@ algorithms run with constant per-pair sizes — the only form that needs
 no 32K x 32K byte matrix — which the equivalence matrix separately pins
 bit-identical to the coop backend at small P.
 
+One cell runs the other way — one lane per rank over a real size matrix:
+power-law two-phase Bruck at P=4096, its clocks first checked against
+the coop backend at P=256 on the same distribution — so the L=P lanes
+path is exercised at scale outside the host benchmark too.
+
 Usage: PYTHONPATH=src python scripts/tensor_scale_smoke.py [P] [budget_s]
 """
 
@@ -17,6 +22,30 @@ import time
 from repro.core.registry import list_algorithms
 from repro.simmpi import ExecutionConfig, THETA, run_spmd
 from repro.simmpi.tensor import TensorAlltoall, TensorAlltoallv
+from repro.workloads import PowerLawBlocks, block_size_matrix
+
+LANES_P, LANES_CHECK_P = 4096, 256
+
+
+def lanes_cell(config: ExecutionConfig) -> None:
+    """Power-law two-phase Bruck with one lane per rank at ``LANES_P``,
+    after pinning the same spec to the coop backend where coop can go."""
+    dist = PowerLawBlocks(32)
+    check = TensorAlltoallv("two_phase_bruck",
+                            block_size_matrix(dist, LANES_CHECK_P, seed=11))
+    coop = run_spmd(check, LANES_CHECK_P,
+                    config=config.replace(backend="coop"))
+    assert run_spmd(check, LANES_CHECK_P, config=config).clocks \
+        == coop.clocks, "tensor L=P clocks differ from coop's"
+    lanes = TensorAlltoallv("two_phase_bruck",
+                            block_size_matrix(dist, LANES_P, seed=11))
+    t0 = time.perf_counter()
+    res = run_spmd(lanes, LANES_P, config=config)
+    wall = time.perf_counter() - t0
+    assert min(res.clocks) > 0 and len(res.clocks) == LANES_P
+    print(f"{'lanes/two_phase_bruck P=%d' % LANES_P:32s} {wall:7.2f}s "
+          f"host wall  {max(res.clocks) * 1e3:12.4f} simulated ms  "
+          f"{res.total_messages:>12} messages")
 
 
 def main(nprocs: int = 32768, wall_budget: float = 300.0) -> int:
@@ -29,6 +58,7 @@ def main(nprocs: int = 32768, wall_budget: float = 300.0) -> int:
               for name in list_algorithms("nonuniform")]
 
     start = time.perf_counter()
+    lanes_cell(config)
     for label, spec in specs:
         t0 = time.perf_counter()
         res = run_spmd(spec, nprocs, config=config)
@@ -40,7 +70,7 @@ def main(nprocs: int = 32768, wall_budget: float = 300.0) -> int:
               f"{clock * 1e3:12.4f} simulated ms  "
               f"{res.total_messages:>12} messages")
     total = time.perf_counter() - start
-    print(f"\n{len(specs)} algorithms at P={nprocs}: "
+    print(f"\n{len(specs)} algorithms at P={nprocs} + the L=P cell: "
           f"{total:.1f}s host wall (budget {wall_budget:.0f}s)")
     if total >= wall_budget:
         print(f"FAIL: exceeded the {wall_budget:.0f}s wall budget")

@@ -21,7 +21,8 @@ Bruck index conventions used throughout (see DESIGN.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "BruckSubstep",
     "bruck_substeps",
     "total_forwarded_blocks",
+    "BlockSizeState",
 ]
 
 
@@ -105,8 +107,8 @@ def total_send_blocks_per_step(nprocs: int) -> List[int]:
 # steps of up to ``r - 1`` messages each replace ``ceil(log2 P)`` single-
 # message steps — fewer rounds, more messages and forwarded volume per
 # round, the trade the radix dial exposes.  Radix 2 reduces every formula
-# here to the bit-trick originals, and :func:`bruck_substeps` *delegates*
-# to them so the radix-2 schedules stay integer-identical.
+# here to the bit-trick originals (``(i // 2**k) % 2 == 1`` is "bit ``k``
+# set"), so the radix-2 schedules stay integer-identical.
 
 
 def validate_radix(radix: int) -> int:
@@ -156,7 +158,8 @@ def radix_block_moved_before(distance: int, step: int, radix: int = 2) -> bool:
 
     True iff ``distance`` has a nonzero base-``radix`` digit below position
     ``step`` — i.e. ``distance % radix**step != 0``.  Radix 2 reduces to
-    :func:`block_moved_before` (a set bit below ``step``).
+    :func:`block_moved_before` (a set bit below ``step``).  Elementwise on
+    an int array of distances (a substep's ``distances``).
     """
     r = validate_radix(radix)
     if r == 2:
@@ -164,7 +167,7 @@ def radix_block_moved_before(distance: int, step: int, radix: int = 2) -> bool:
     return distance % (r ** step) != 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BruckSubstep:
     """One communication round of a radix-``r`` Bruck exchange.
 
@@ -180,37 +183,51 @@ class BruckSubstep:
         ``(rank - jump) % P`` and receives from ``(rank + jump) % P``.
     ``distances``
         The distance indices moving, ascending
-        (:func:`radix_send_block_distances`).
+        (:func:`radix_send_block_distances`), as a read-only int64 array
+        shared by every caller of the memoised schedule.
     """
 
     index: int
     step: int
     digit: int
     jump: int
-    distances: Tuple[int, ...]
+    distances: np.ndarray
 
 
-def bruck_substeps(nprocs: int, radix: int = 2) -> List[BruckSubstep]:
+def bruck_substeps(nprocs: int, radix: int = 2) -> Tuple[BruckSubstep, ...]:
     """The full substep schedule of a radix-``r`` Bruck exchange.
 
     Substeps whose distance set is empty (``digit * r**step >= P``) are
-    omitted, mirroring the kernels' ``if not dist: continue``.  For radix 2
-    this is exactly one substep per classic step, built from the original
-    bit-trick helpers, so every integer (index, jump, distances) — and
-    therefore every message, tag and clock charge downstream — is identical
-    to the unparameterized path.
+    omitted, mirroring the kernels' ``if not dist: continue``.  The digit
+    test is :func:`radix_send_block_distances`'s, which for radix 2 is the
+    bit test of :func:`send_block_distances`, so every integer (index,
+    jump, distances) — and therefore every message, tag and clock charge
+    downstream — is identical to the unparameterized path.
+
+    The schedule is a pure function of ``(P, r)``: it is memoised and
+    immutable, so ranks, evaluators and predictors share one tuple and
+    never build a per-step index of their own.  Distances are int64
+    arrays (2 MiB for the whole schedule at P = 32 768), not tuples of
+    Python ints, and the cache is bounded.
     """
-    r = validate_radix(radix)
+    return _bruck_schedule(int(nprocs), validate_radix(radix))
+
+
+@lru_cache(maxsize=16)
+def _bruck_schedule(nprocs: int, r: int) -> Tuple[BruckSubstep, ...]:
+    distance = np.arange(1, nprocs, dtype=np.int64)
     subs: List[BruckSubstep] = []
     for k in range(radix_num_steps(nprocs, r)):
+        digits = (distance // r ** k) % r
         for z in range(1, r):
-            dist = radix_send_block_distances(k, z, nprocs, r)
-            if not dist:
+            dist = distance[digits == z]
+            if not len(dist):
                 continue
+            dist.setflags(write=False)
             subs.append(BruckSubstep(index=k * (r - 1) + (z - 1), step=k,
                                      digit=z, jump=z * r ** k,
-                                     distances=tuple(dist)))
-    return subs
+                                     distances=dist))
+    return tuple(subs)
 
 
 def total_forwarded_blocks(nprocs: int, radix: int = 2) -> int:
@@ -221,6 +238,82 @@ def total_forwarded_blocks(nprocs: int, radix: int = 2) -> int:
     step approximation (radix 2) and its ``(P+1)(r-1)/r`` generalization.
     """
     return sum(len(s.distances) for s in bruck_substeps(nprocs, radix))
+
+
+class BlockSizeState:
+    """Who holds how many bytes, addressed by distance instead of by rank.
+
+    ``rows[i, r]`` is the current size of the block with distance index
+    ``i`` held by rank ``r`` — the block at working slot ``(i + r) % P``
+    of the modified/zero-rotation family, bound for the rank ``i`` below
+    its origin.  Before any exchange that is ``sizes[r, (r - i) % P]``:
+    row ``i`` is the ``i``-th wrapped diagonal of the ``sizes[src, dst]``
+    matrix, read once here.  This is the paper's zero-rotation idea
+    applied to the simulator's own bookkeeping: blocks are never
+    re-indexed by rank, and the one thing a communication round does to
+    the state is :meth:`roll` — every rank hands the blocks at a
+    substep's ``distances`` to the rank ``jump`` below it, so those rows
+    shift by ``-jump`` and every other row stays put.
+
+    The functional kernels track the same quantity per rank
+    (``cur_counts`` in two-phase Bruck); the tensor evaluator and the
+    exact predictor interpret the whole fabric through this one object,
+    so neither derives source/destination indices of its own.  With a
+    single lane (``rows`` of shape ``(P, 1)``, constant block sizes) every
+    rank holds the same sizes and :meth:`roll` changes nothing.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    @classmethod
+    def from_matrix(cls, sizes: np.ndarray) -> "BlockSizeState":
+        """Distance-major copy of a ``(P, P)`` ``sizes[src, dst]`` matrix.
+
+        Given the transpose instead, ``rows[i, r]`` is what rank ``r``
+        *receives* from the rank ``i`` below it — the exchange seen from
+        its destinations, where every block has already arrived.
+        """
+        p = sizes.shape[0]
+        if sizes.shape != (p, p):
+            raise ValueError(f"size matrix must be square, got {sizes.shape}")
+        rows = np.empty((p, p), dtype=sizes.dtype)
+        for i in range(p):
+            # Wrapped diagonal i: ranks r >= i hold sizes[r, r - i], ranks
+            # r < i hold sizes[r, r - i + P].  Each half is one strided
+            # view of the matrix.
+            rows[i, i:] = sizes.diagonal(-i)
+            rows[i, :i] = sizes.diagonal(p - i)
+        return cls(rows)
+
+    @classmethod
+    def uniform(cls, nprocs: int, nbytes: int,
+                lanes: int) -> "BlockSizeState":
+        """Every block ``nbytes`` long; one lane can stand for all ranks."""
+        return cls(np.full((nprocs, lanes), nbytes, dtype=np.int64))
+
+    def read(self, distances: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The ``(m, L)`` sizes of the blocks at ``distances`` (a substep's,
+        or a slice of them), one contiguous row read per distance (into
+        ``out`` when given)."""
+        # mode="clip" only skips NumPy's bounds-check buffering of `out`;
+        # schedule distances are always in range.
+        return np.take(self.rows, distances, axis=0, out=out, mode="clip")
+
+    def roll(self, distances: np.ndarray, jump: int,
+             moved: np.ndarray) -> None:
+        """Apply one communication round to the blocks at ``distances``:
+        their rows roll by ``-jump`` (rank ``r`` now holds what
+        ``r + jump`` sent).  ``moved`` is their :meth:`read`."""
+        lanes = self.rows.shape[1]
+        jump %= lanes
+        if jump == 0:
+            return
+        self.rows[distances, :lanes - jump] = moved[:, jump:]
+        self.rows[distances, lanes - jump:] = moved[:, :jump]
 
 
 # ----------------------------------------------------------------------

@@ -105,8 +105,7 @@ def two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
     for sub in bruck_substeps(p, radix):
         dist = sub.distances                         # lines 8-10
         m = len(dist)
-        dist_arr = np.asarray(dist, dtype=np.int64)
-        slots = (dist_arr + rank) % p                # sd[] slot indices
+        slots = (dist + rank) % p                    # sd[] slot indices
         keys = rot[slots]                            # I[sd[i]]
         send_rank = (rank - sub.jump) % p            # line 14
         recv_rank = (rank + sub.jump) % p            # line 15
@@ -152,7 +151,7 @@ def two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
             # Lines 25-33: scatter; finished blocks (no set bit above k in
             # their distance) go straight to their final rdispls position,
             # in-transit blocks park in W at their slot.
-            finished = dist_arr < radix ** (sub.step + 1)  # line 26
+            finished = dist < radix ** (sub.step + 1)      # line 26
             mismatch = finished & (counts_in != rcounts[slots])
             if mismatch.any():
                 a = int(np.argmax(mismatch))

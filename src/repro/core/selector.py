@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..simmpi.machine import THETA, MachineProfile
-from ..workloads.distributions import UniformBlocks
+from ..workloads.distributions import UniformBlocks, block_size_matrix
 from .cost_model import crossover_block_size
 from .registry import get_algorithm
 
@@ -74,21 +74,23 @@ class PerformanceModel:
         Uses the analytic timing engine (exact mode through 2048 ranks,
         CLT beyond), mirroring how the paper derives Fig. 9 from Fig. 6.
         """
-        from ..timing import predict_alltoallv  # local import: avoid cycle
+        from .. import timing  # local import: avoid cycle
 
-        tp_name, padded_name, vendor_name = _contenders()
+        contenders = _contenders()
         model = cls(machine=machine)
         for p in procs:
             largest_tp = 0
             largest_padded = 0
             for n in sorted(blocks):
                 dist = UniformBlocks(n)
-                tp = predict_alltoallv(tp_name, machine, p, dist,
-                                       seed=seed).elapsed
-                vendor = predict_alltoallv(vendor_name, machine, p, dist,
-                                           seed=seed).elapsed
-                padded = predict_alltoallv(padded_name, machine, p, dist,
-                                           seed=seed).elapsed
+                # The contenders race on one draw: exact mode would sample
+                # this very matrix from ``seed`` once per call.
+                sizes = (block_size_matrix(dist, p, seed=seed)
+                         if p <= timing.EXACT_LIMIT else None)
+                tp, padded, vendor = (
+                    timing.predict_alltoallv(name, machine, p, dist,
+                                             seed=seed, sizes=sizes).elapsed
+                    for name in contenders)
                 if tp < vendor:
                     largest_tp = n
                 if padded < tp and padded < vendor:

@@ -57,7 +57,7 @@ def modified_bruck(comm: Communicator, sendbuf: np.ndarray,
         for sub in subs:
             dist = sub.distances
             m = len(dist)
-            slots = (np.asarray(dist, dtype=np.int64) + rank) % p
+            slots = (dist + rank) % p
             dst = (rank - sub.jump) % p
             src_rank = (rank + sub.jump) % p
             tag = tag_base + sub.index

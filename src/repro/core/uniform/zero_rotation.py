@@ -68,11 +68,8 @@ def zero_rotation_bruck(comm: Communicator, sendbuf: np.ndarray,
         for sub in subs:
             dist = sub.distances
             m = len(dist)
-            slots = (np.asarray(dist, dtype=np.int64) + rank) % p
-            moved = np.asarray(
-                [radix_block_moved_before(i, sub.step, radix) for i in dist],
-                dtype=bool,
-            )
+            slots = (dist + rank) % p
+            moved = radix_block_moved_before(dist, sub.step, radix)
             dst = (rank - sub.jump) % p
             src_rank = (rank + sub.jump) % p
             stage = np.empty((m, n), dtype=np.uint8)

@@ -13,7 +13,10 @@ the functional kernels make, in per-rank program order, with the same IEEE
 arithmetic:
 
 * sequential clock advances fold through ``np.add.accumulate`` — the exact
-  left-to-right float additions of a ``charge_copy`` loop;
+  left-to-right float additions of a ``charge_copy`` loop — or, where the
+  charges come as distance-major rows of the shared block-size state
+  (two-phase Bruck), as one in-place row add per block, which gives every
+  lane the same chain (DESIGN.md §5.4 states the order rule);
 * zero-byte charges contribute ``+0.0`` (IEEE: ``c + 0.0 == c``), matching
   the kernels' ``if nbytes:`` guards without branching;
 * receive completion is the simulator's one rule:
@@ -56,6 +59,9 @@ __all__ = ["TensorProgram", "TensorAlltoall", "TensorAlltoallv",
 _INTERNAL_TAG_STRIDE = 8   # mirrors communicator._INTERNAL_TAG_STRIDE
 _FOLD_CHUNK = 512          # accumulate block width for per-lane folds
 _CONST_CHUNK = 1 << 16     # accumulate width for repeated-constant folds
+#: Rows of a substep are read, priced and rolled this many bytes (per
+#: array) at a time, so the three passes stay in cache at large L.
+_PIECE_BYTES = 1 << 18
 
 #: Node-aware kernels whose leader/member programs diverge whenever the
 #: machine has more than one rank per node.
@@ -520,11 +526,34 @@ class _Engine:
             arr = arr[None, :]
         if arr.shape[1] == 0:
             return
+        self.clocks = _fold(self.clocks,
+                            self.copy_seconds(arr, np.empty(arr.shape)))
+
+    def copy_seconds(self, counts: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+        """``copy_time`` of every entry of an int64 count block, written
+        into ``out`` (``kappa + gamma * n``; zero-byte blocks ``+0.0``)
+        with no float temporary of the block's size."""
         m = self.machine
-        times = np.where(arr > 0,
-                         m.kappa_mem + m.gamma_mem * arr.astype(np.float64),
-                         0.0)
-        self.clocks = _fold(self.clocks, times)
+        np.multiply(counts, m.gamma_mem, out=out)
+        np.add(out, m.kappa_mem, out=out)
+        return np.multiply(out, counts > 0, out=out)
+
+    def fold_rows(self, seconds: np.ndarray, shift: int = 0) -> None:
+        """Sequential charges from a distance-major ``(k, L)`` block: each
+        lane's clock takes its entry of row 0, then of row 1, … — the
+        left-to-right float additions of the kernels' ``charge_copies``
+        loop, never a pairwise reduction — done as one in-place row add
+        per block.  With ``shift`` lane ``r`` reads column
+        ``(r + shift) % L``: the rows as they stand after rolling by
+        ``-shift``.  A single lane folds along the row axis instead."""
+        if self.L == 1:
+            self.clocks = _fold(self.clocks, seconds.T)
+            return
+        clocks = np.roll(self.clocks, shift)
+        for row in seconds:
+            clocks += row
+        self.clocks = np.roll(clocks, -shift)
 
     # -- message posting / completion -----------------------------------
     def _account(self, nbytes, messages: int) -> None:
@@ -848,11 +877,8 @@ class _Engine:
             arr = arr[None, :]
         if arr.shape[1] == 0:
             return
-        m = self.machine
-        times = np.where(arr > 0,
-                         m.kappa_mem + m.gamma_mem * arr.astype(np.float64),
-                         0.0)
-        self.clocks[sel] = _fold(self.clocks[sel], times)
+        self.clocks[sel] = _fold(self.clocks[sel],
+                                 self.copy_seconds(arr, np.empty(arr.shape)))
 
     def const_copies_at(self, sel: np.ndarray, value: int,
                         counts) -> None:
@@ -972,6 +998,15 @@ class _SizeView:
         if self.is_const:
             return np.full((L, self.p), self.const, dtype=np.int64)
         return np.ascontiguousarray(self.mat.T)
+
+    def by_distance(self, L: int):
+        """The sizes as a distance-major :class:`BlockSizeState` with
+        ``L`` lanes (constant sizes need only as many lanes as the engine
+        runs)."""
+        common = _core_common()
+        if self.is_const:
+            return common.BlockSizeState.uniform(self.p, self.const, L)
+        return common.BlockSizeState.from_matrix(self.mat)
 
     def fanout_cols(self, lane: np.ndarray):
         """Spread-out send sizes: scalar, or ``(L, p-1)`` with column
@@ -1101,22 +1136,36 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
         eng.charge_compute(p * 1.0e-9)
         if sv.max() == 0:
             return
-    cur = sv.row_matrix(L)          # working counts keyed by block index
-    eng.charge_copy(sv.self_block())
-    for sub in common.bruck_substeps(p, radix):
+    state = sv.by_distance(L)
+    eng.charge_copy(state.rows[0])              # distance 0: the self block
+    subs = common.bruck_substeps(p, radix)
+    # Scratch, allocated once per run: the copy seconds of every block a
+    # substep moves, and the counts of one cache-sized piece of them.
+    widest = max((len(sub.distances) for sub in subs), default=0)
+    piece = max(1, _PIECE_BYTES // (8 * L))
+    counts = np.empty((min(piece, widest), L), dtype=np.int64)
+    seconds = np.empty((widest, L), dtype=np.float64)
+    for sub in subs:
         m = len(sub.distances)
-        d = np.asarray(sub.distances, dtype=np.int64)
-        keys = (eng.lane[:, None] - d[None, :]) % p     # I[(dist+rank)%p]
         with eng.phase("metadata_exchange"):
             eng.exchange(-sub.jump, 4 * m, tag_base + 2 * sub.index)
         with eng.phase("data_exchange"):
-            counts_out = np.take_along_axis(cur, keys, axis=1)
-            eng.charge_copies(counts_out)
-            out_total = counts_out.sum(axis=1)
-            eng.exchange(-sub.jump, out_total, tag_base + 2 * sub.index + 1)
-            counts_in = eng.from_src(counts_out, -sub.jump)
-            eng.charge_copies(counts_in)
-            np.put_along_axis(cur, keys, counts_in, axis=1)
+            # Read, price and roll the moving rows piece by piece (nothing
+            # reads the state again before the next substep); the folds
+            # and the exchange then see the whole substep.
+            out_total = np.zeros(L, dtype=np.int64)
+            for lo in range(0, m, piece):
+                dist = sub.distances[lo:lo + piece]
+                moving = state.read(dist, out=counts[:len(dist)])
+                out_total += moving.sum(axis=0)
+                eng.copy_seconds(moving, out=seconds[lo:lo + len(dist)])
+                state.roll(dist, sub.jump, moving)
+            eng.fold_rows(seconds[:m])                          # pack
+            eng.exchange(-sub.jump, out_total,
+                         tag_base + 2 * sub.index + 1)
+            # Unpack: what each rank received is what the rank `jump`
+            # above it packed — the same rows, read through the roll.
+            eng.fold_rows(seconds[:m], shift=sub.jump)
 
 
 def _eval_sloav(eng: _Engine, sv: _SizeView, *, tag_base: int = 0) -> None:

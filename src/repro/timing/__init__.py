@@ -15,7 +15,8 @@ from .engine import (
     sendrecv_rounds,
     wire_time_vec,
 )
-from .nonuniform import NONUNIFORM_PREDICTABLE, TimingResult, predict_alltoallv
+from .nonuniform import (EXACT_LIMIT, NONUNIFORM_PREDICTABLE, TimingResult,
+                         predict_alltoallv)
 from .uniform import UNIFORM_PREDICTORS, UniformTiming, predict_uniform
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "predict_alltoallv",
     "TimingResult",
     "NONUNIFORM_PREDICTABLE",
+    "EXACT_LIMIT",
     "wire_time_vec",
     "copy_time_vec",
     "copy_time_blocks",

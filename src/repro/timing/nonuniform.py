@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
-from ..core.common import bruck_substeps
+from ..core.common import BlockSizeState, bruck_substeps
 from ..core.registry import get_algorithm
 from ..simmpi.machine import MachineProfile
 from ..workloads.distributions import BlockSizeDistribution
@@ -39,7 +41,11 @@ from .engine import (
     serial_time_vec,
 )
 
-__all__ = ["TimingResult", "predict_alltoallv", "NONUNIFORM_PREDICTABLE"]
+__all__ = ["TimingResult", "predict_alltoallv", "NONUNIFORM_PREDICTABLE",
+           "EXACT_LIMIT"]
+
+#: Largest P that ``mode="auto"`` evaluates exactly (a P x P matrix).
+EXACT_LIMIT = 2048
 
 _ROT_INDEX_COST_PER_PROC = 1.0e-9  # matches the functional implementations
 _META_ENTRY_BYTES = 4.0
@@ -63,8 +69,9 @@ class TimingResult:
 
 def predict_alltoallv(algorithm: str, machine: MachineProfile, nprocs: int,
                       dist: BlockSizeDistribution, *, seed: int = 0,
-                      mode: str = "auto", exact_limit: int = 2048,
-                      radix: int = 2) -> TimingResult:
+                      mode: str = "auto", exact_limit: int = EXACT_LIMIT,
+                      radix: int = 2,
+                      sizes: Optional[np.ndarray] = None) -> TimingResult:
     """Predict the simulated time of ``algorithm`` on a random workload.
 
     Parameters
@@ -81,6 +88,11 @@ def predict_alltoallv(algorithm: str, machine: MachineProfile, nprocs: int,
     radix:
         Bruck digit base; values other than 2 are accepted only for the
         radix-capable kernels (``two_phase_bruck``, ``padded_bruck``).
+    sizes:
+        Exact mode only: the ``(P, P)`` matrix to evaluate, in place of
+        the draw ``dist.sample(default_rng(seed), P * P)`` — for callers
+        that compare several algorithms on one draw.  Ignored by CLT
+        mode, which never materializes a matrix.
     """
     # Resolve through the central registry so unknown names fail the same
     # way as the dispatchers do; vendor MPI_Alltoallv is spread-out based.
@@ -105,15 +117,24 @@ def predict_alltoallv(algorithm: str, machine: MachineProfile, nprocs: int,
     if mode not in ("exact", "clt"):
         raise ValueError(f"mode must be exact/clt/auto, got {mode!r}")
 
-    if mode == "exact":
-        rng = np.random.default_rng(seed)
-        sizes = dist.sample(rng, nprocs * nprocs).reshape(nprocs, nprocs)
-        fn = _EXACT[algorithm]
-        elapsed = fn(machine, sizes, radix=radix) if radix != 2             else fn(machine, sizes)
+    # Every entry of both tables takes ``radix``; the kernels without a
+    # radix dial were refused anything but 2 above and ignore it.
+    rng = np.random.default_rng(seed)
+    if mode == "clt":
+        elapsed = _CLT[algorithm](machine, nprocs, dist, rng, radix)
     else:
-        rng = np.random.default_rng(seed)
-        fn = _CLT[algorithm]
-        elapsed = fn(machine, nprocs, dist, rng, radix=radix) if radix != 2             else fn(machine, nprocs, dist, rng)
+        if sizes is None:
+            sizes = dist.sample(rng, nprocs * nprocs).reshape(nprocs, nprocs)
+        else:
+            sizes = np.asarray(sizes)
+            if sizes.shape != (nprocs, nprocs) \
+                    or not np.issubdtype(sizes.dtype, np.integer):
+                raise ValueError(
+                    f"sizes must be an integer ({nprocs}, {nprocs}) "
+                    f"matrix, got {sizes.dtype} {sizes.shape}")
+            if sizes.min(initial=0) < 0:
+                raise ValueError("sizes entries must be >= 0")
+        elapsed = _EXACT[algorithm](machine, sizes, radix)
     return TimingResult(algorithm, nprocs, float(elapsed), mode,
                         dist.max_block)
 
@@ -130,28 +151,25 @@ def _two_phase_exact(machine: MachineProfile, sizes: np.ndarray,
     clocks = clocks + p * _ROT_INDEX_COST_PER_PROC
     if int(sizes.max(initial=0)) == 0:
         return float(clocks.max())
-    clocks = clocks + copy_time_vec(machine, np.diagonal(sizes))
-    ranks = np.arange(p)
+    state = BlockSizeState.from_matrix(sizes)
+    clocks = clocks + copy_time_vec(machine, state.rows[0])  # self block
     for sub in bruck_substeps(p, radix):
-        dist_k = np.asarray(sub.distances, dtype=np.int64)
-        m = len(dist_k)
         # metadata exchange
         clocks = bruck_step(clocks, machine, p, sub.jump,
-                            _META_ENTRY_BYTES * m)
-        # The block at working slot (i + rank) at step k originated at
-        # source s = rank + (i mod r^k) and is destined for d = s - i;
-        # its size therefore is sizes[s, d].
-        low = dist_k % radix ** sub.step
-        s = (ranks[:, None] + low[None, :]) % p
-        d = (s - dist_k[None, :]) % p
-        blk = sizes[s, d]
-        bytes_out = blk.sum(axis=1).astype(np.float64)
-        nz_out = (blk > 0).sum(axis=1).astype(np.float64)
+                            _META_ENTRY_BYTES * len(sub.distances))
+        # Integer column sums over the moving rows: per-rank bytes and
+        # non-empty block count (order-free, so exact in any layout).
+        moving = state.read(sub.distances)
+        bytes_out = moving.sum(axis=0).astype(np.float64)
+        nz_out = np.count_nonzero(moving, axis=0).astype(np.float64)
         clocks = clocks + copy_time_blocks(machine, nz_out, bytes_out)  # pack
         clocks = bruck_step(clocks, machine, p, sub.jump, bytes_out)
-        src = (ranks + sub.jump) % p
-        clocks = clocks + copy_time_blocks(machine, nz_out[src],
-                                           bytes_out[src])              # unpack
+        # unpack what the rank `jump` above packed: the same roll the
+        # state makes
+        clocks = clocks + copy_time_blocks(machine,
+                                           np.roll(nz_out, -sub.jump),
+                                           np.roll(bytes_out, -sub.jump))
+        state.roll(sub.distances, sub.jump, moving)
     return float(clocks.max())
 
 
@@ -226,8 +244,8 @@ def _vendor_alltoall_clocks(machine: MachineProfile, p: int, block_n: int,
     return c
 
 
-def _padded_alltoall_exact(machine: MachineProfile,
-                           sizes: np.ndarray) -> float:
+def _padded_alltoall_exact(machine: MachineProfile, sizes: np.ndarray,
+                           radix: int = 2) -> float:
     p = sizes.shape[0]
     clocks, max_n = _padded_common_exact(machine, sizes)
     if max_n == 0:
@@ -237,19 +255,24 @@ def _padded_alltoall_exact(machine: MachineProfile,
     return float(clocks.max())
 
 
-def _spread_out_exact(machine: MachineProfile, sizes: np.ndarray) -> float:
+def _spread_out_exact(machine: MachineProfile, sizes: np.ndarray,
+                      radix: int = 2) -> float:
     p = sizes.shape[0]
+    # Spread-out delivers every block in one jump, so the state never
+    # rolls; built from the transpose it is indexed by receiver:
+    # arriving[off, r] = bytes rank r receives from rank r - off.
+    arriving = BlockSizeState.from_matrix(sizes.T).rows
     clocks = np.zeros(p)
-    clocks = clocks + copy_time_vec(machine, np.diagonal(sizes))
+    clocks = clocks + copy_time_vec(machine, arriving[0])  # self block
     if p == 1:
         return float(clocks.max())
     base = clocks + (p - 1) * machine.o_recv
-    ranks = np.arange(p)
+    sender_base = np.concatenate([base, base])  # [p - off:][r] = base[r - off]
     c = base + (p - 1) * machine.o_send
     for off in range(1, p):
-        src = (ranks - off) % p
-        nb = sizes[src, ranks]
-        c = np.maximum(c, base[src] + off * machine.o_send
+        nb = arriving[off]
+        c = np.maximum(c, sender_base[p - off:2 * p - off]
+                       + off * machine.o_send
                        + head_latency_vec(machine, nb)) \
             + serial_time_vec(machine, nb, p)
     return float(c.max())
@@ -364,7 +387,7 @@ def _padded_bruck_clt(machine: MachineProfile, p: int,
 
 def _padded_alltoall_clt(machine: MachineProfile, p: int,
                          dist: BlockSizeDistribution,
-                         rng: np.random.Generator) -> float:
+                         rng: np.random.Generator, radix: int = 2) -> float:
     clocks, max_n = _padded_phases_clt(machine, p, dist, rng)
     if max_n == 0:
         return float(clocks.max())
@@ -418,7 +441,7 @@ def _serial_moments(machine: MachineProfile, dist: BlockSizeDistribution,
 
 def _spread_out_clt(machine: MachineProfile, p: int,
                     dist: BlockSizeDistribution,
-                    rng: np.random.Generator) -> float:
+                    rng: np.random.Generator, radix: int = 2) -> float:
     clocks = np.zeros(p)
     clocks = clocks + copy_time_vec(machine, dist.sample(rng, p))
     if p == 1:

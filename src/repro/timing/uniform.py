@@ -60,7 +60,7 @@ def _steps(nprocs: int, radix: int = 2) -> List[List[int]]:
     # One distance list per communication round.  For radix 2 the substep
     # schedule is the classic one-round-per-bit list, integer-identical to
     # the old send_block_distances() loop, so predictions stay bit-exact.
-    return [list(s.distances) for s in bruck_substeps(nprocs, radix)]
+    return [s.distances.tolist() for s in bruck_substeps(nprocs, radix)]
 
 
 def _predict_basic(machine: MachineProfile, nprocs: int, n: int,

@@ -152,7 +152,10 @@ class _TabulatedDistribution(BlockSizeDistribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
+        # searchsorted already returns the platform index type (int64
+        # here): only convert, with a copy, where it is something else.
+        return np.searchsorted(self._cdf, u, side="right").astype(
+            np.int64, copy=False)
 
     @property
     def mean(self) -> float:

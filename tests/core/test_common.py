@@ -172,7 +172,7 @@ class TestRadixHelpers:
         from repro.core.common import bruck_substeps
         seen = Counter()
         for sub in bruck_substeps(p, r):
-            assert sub.distances  # empty substeps are skipped
+            assert len(sub.distances)  # empty substeps are skipped
             assert sub.jump == sub.digit * r ** sub.step
             assert sub.index == sub.step * (r - 1) + sub.digit - 1
             for i in sub.distances:
@@ -211,3 +211,121 @@ class TestRadixHelpers:
         totals = [total_forwarded_blocks(p, r) for r in (2, 4, 16)]
         assert totals[0] >= totals[1] >= totals[2]
         assert total_forwarded_blocks(p, p if p > 1 else 2) == p - 1
+
+
+class TestScheduleCache:
+    """``bruck_substeps`` is one memoised, immutable schedule per (P, r)."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 17, 64, 100])
+    @pytest.mark.parametrize("r", [2, 3, 4, 8])
+    def test_matches_the_list_helpers(self, p, r):
+        # The per-substep list builders stay the reference definition.
+        from repro.core.common import (
+            bruck_substeps, radix_num_steps, radix_send_block_distances)
+        expect = [(k, z, radix_send_block_distances(k, z, p, r))
+                  for k in range(radix_num_steps(p, r))
+                  for z in range(1, r)]
+        expect = [e for e in expect if e[2]]
+        subs = bruck_substeps(p, r)
+        assert [(s.step, s.digit, s.distances.tolist()) for s in subs] \
+            == expect
+
+    def test_same_object_however_it_is_asked_for(self):
+        from repro.core.common import bruck_substeps
+        first = bruck_substeps(100, 3)
+        assert bruck_substeps(100, radix=3) is first
+        assert bruck_substeps(np.int64(100), 3) is first
+        assert bruck_substeps(100) is bruck_substeps(100, 2)
+        assert isinstance(first, tuple)
+
+    def test_schedule_is_read_only(self):
+        import dataclasses
+
+        from repro.core.common import bruck_substeps
+        subs = bruck_substeps(37, 4)
+        for sub in subs:
+            assert sub.distances.dtype == np.int64
+            assert not sub.distances.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                sub.distances[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            subs[0].jump = 7
+        with pytest.raises(TypeError):
+            subs[0] = subs[-1]
+
+    def test_cache_is_bounded_and_holds_arrays(self):
+        # Memory discipline: a bounded number of entries, each a few
+        # int64 arrays (never tuples of Python ints).
+        from repro.core.common import _bruck_schedule, bruck_substeps
+        assert 0 < _bruck_schedule.cache_info().maxsize <= 16
+        subs = bruck_substeps(4096, 2)
+        assert sum(s.distances.nbytes for s in subs) == 8 * 2048 * 12
+
+    def test_invalid_arguments_still_raise(self):
+        from repro.core.common import bruck_substeps
+        with pytest.raises(ValueError, match="radix"):
+            bruck_substeps(8, 1)
+        with pytest.raises(ValueError, match="nprocs"):
+            bruck_substeps(0, 2)
+
+
+class TestBlockSizeState:
+    """The distance-major block-size state and its one transition."""
+
+    @given(p=st.integers(2, 96), r=st.sampled_from([2, 3, 4, 8]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_follow_the_closed_form(self, p, r, seed):
+        from repro.core.common import BlockSizeState, bruck_substeps
+        # Small support so the matrix is full of zeros and repeats.
+        sizes = np.random.default_rng(seed).integers(0, 4, (p, p))
+        state = BlockSizeState.from_matrix(sizes)
+        ranks = np.arange(p)
+        assert state.rows[0].tolist() == np.diagonal(sizes).tolist()
+        for sub in bruck_substeps(p, r):
+            # Reference — the index arithmetic the exact predictor used
+            # before it read the state: the block at working slot
+            # (i + rank) at step k originated at s = rank + (i mod r^k)
+            # and is destined for s - i, so its size is sizes[s, s - i].
+            dist = sub.distances
+            low = dist % r ** sub.step
+            s = (ranks[:, None] + low[None, :]) % p
+            expect = sizes[s, (s - dist[None, :]) % p]      # [rank, a]
+            moving = state.read(dist)
+            assert moving.shape == (len(dist), p)
+            assert np.array_equal(moving.T, expect)
+            state.roll(dist, sub.jump, moving)
+        # Every block has arrived: row i is what each rank receives from
+        # the rank i above it — the receive-side state read backwards.
+        arrived = BlockSizeState.from_matrix(sizes.T)
+        for i in range(p):
+            assert np.array_equal(state.rows[i], arrived.rows[-i % p])
+            assert np.array_equal(arrived.rows[i],
+                                  sizes[(ranks - i) % p, ranks])
+
+    def test_read_into_scratch(self):
+        from repro.core.common import BlockSizeState, bruck_substeps
+        sizes = np.arange(49).reshape(7, 7)
+        state = BlockSizeState.from_matrix(sizes)
+        sub = bruck_substeps(7, 2)[1]
+        scratch = np.full((5, 7), -1)
+        got = state.read(sub.distances, out=scratch[:len(sub.distances)])
+        assert np.shares_memory(got, scratch)
+        assert np.array_equal(got, state.rows[sub.distances])
+        assert (scratch[len(sub.distances):] == -1).all()
+
+    def test_single_lane_never_rolls(self):
+        from repro.core.common import BlockSizeState, bruck_substeps
+        state = BlockSizeState.uniform(9, 64, lanes=1)
+        assert state.rows.shape == (9, 1)
+        for sub in bruck_substeps(9, 3):
+            moving = state.read(sub.distances)
+            assert (moving == 64).all()
+            state.roll(sub.distances, sub.jump, moving)
+        assert (state.rows == 64).all()
+        assert BlockSizeState.uniform(9, 5, lanes=9).rows.shape == (9, 9)
+
+    def test_rejects_non_square(self):
+        from repro.core.common import BlockSizeState
+        with pytest.raises(ValueError, match="square"):
+            BlockSizeState.from_matrix(np.zeros((3, 4), dtype=np.int64))

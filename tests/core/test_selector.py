@@ -1,5 +1,6 @@
 """Tests for the Fig. 9 empirical performance model / selector."""
 
+import numpy as np
 import pytest
 
 from repro.core.selector import CrossoverPoint, PerformanceModel
@@ -32,6 +33,78 @@ class TestFit:
     def test_frontiers_cover_requested_procs(self, fitted):
         assert [c.nprocs for c in fitted.two_phase_frontier] == \
             [128, 1024, 4096, 16384, 32768]
+
+
+class TestFitDrawsOncePerCell:
+    PROCS, BLOCKS = (8, 24), (8, 64)
+
+    @staticmethod
+    def reference_fit(machine, procs, blocks, seed):
+        """The sweep as first written: every contender samples its own
+        (identical) matrix from the seed."""
+        from repro.timing import predict_alltoallv
+        from repro.workloads import UniformBlocks
+        model = PerformanceModel(machine=machine)
+        for p in procs:
+            largest_tp = largest_padded = 0
+            for n in sorted(blocks):
+                tp, vendor, padded = (
+                    predict_alltoallv(name, machine, p, UniformBlocks(n),
+                                      seed=seed).elapsed
+                    for name in ("two_phase_bruck", "vendor",
+                                 "padded_bruck"))
+                if tp < vendor:
+                    largest_tp = n
+                if padded < tp and padded < vendor:
+                    largest_padded = n
+            model.two_phase_frontier.append(CrossoverPoint(p, largest_tp))
+            model.padded_frontier.append(CrossoverPoint(p, largest_padded))
+        return model
+
+    def test_same_frontiers_as_per_call_draws(self):
+        procs, blocks = (16, 128, 4096), (4, 16, 64, 256, 1024)
+        assert PerformanceModel.fit(THETA, procs, blocks, seed=5) == \
+            self.reference_fit(THETA, procs, blocks, seed=5)
+
+    def test_one_draw_three_predictions_per_cell(self, monkeypatch):
+        import repro.core.selector as selector
+        import repro.timing as timing
+
+        draws, calls = [], []
+        draw, predict = selector.block_size_matrix, timing.predict_alltoallv
+
+        def counted_draw(dist, nprocs, seed=0):
+            draws.append((nprocs, dist.max_block, seed))
+            return draw(dist, nprocs, seed=seed)
+
+        def counted_predict(name, machine, nprocs, dist, **kwargs):
+            calls.append((nprocs, dist.max_block, name))
+            matrix = kwargs["sizes"]
+            assert np.array_equal(
+                matrix, draw(dist, nprocs, seed=kwargs["seed"]))
+            return predict(name, machine, nprocs, dist, **kwargs)
+
+        monkeypatch.setattr(selector, "block_size_matrix", counted_draw)
+        monkeypatch.setattr(timing, "predict_alltoallv", counted_predict)
+        PerformanceModel.fit(THETA, self.PROCS, self.BLOCKS, seed=11)
+        cells = [(p, n) for p in self.PROCS for n in self.BLOCKS]
+        assert draws == [(p, n, 11) for p, n in cells]
+        # Still one call per contender through the public module
+        # attribute (the host benchmark counts them there).
+        assert sorted(calls) == sorted(
+            (p, n, name) for p, n in cells
+            for name in ("two_phase_bruck", "padded_bruck", "vendor"))
+
+    def test_no_matrix_beyond_the_exact_limit(self, monkeypatch):
+        import repro.core.selector as selector
+        from repro.timing import EXACT_LIMIT
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("CLT cells must not materialize P x P")
+
+        monkeypatch.setattr(selector, "block_size_matrix", no_draw)
+        model = PerformanceModel.fit(THETA, (2 * EXACT_LIMIT,), (16, 256))
+        assert len(model.two_phase_frontier) == 1
 
 
 class TestRecommend:

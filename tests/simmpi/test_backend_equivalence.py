@@ -187,17 +187,20 @@ def test_tensor_nonuniform_const_sizes(name):
 # tensor metrics cells: trace="metrics" aggregates join the contract
 # ----------------------------------------------------------------------
 
-def _assert_tensor_metrics_match_coop(spec, nprocs, fault_plan=None):
+def _assert_tensor_metrics_match_coop(spec, nprocs, fault_plan=None,
+                                      machine=THETA):
     """The vectorized metrics store must reproduce the scalar registry's
     RunMetrics snapshot *bit for bit* — every field, including float wait
     totals, in-flight maxima, and the phase/collective time tables."""
-    base = dict(machine=THETA, trace="metrics", timeout=300, wire="phantom",
-                fault_plan=fault_plan, fault_seed=23)
+    base = dict(machine=machine, trace="metrics", timeout=300,
+                wire="phantom", fault_plan=fault_plan, fault_seed=23)
     ref = run_spmd(spec, nprocs,
                    config=ExecutionConfig(backend="coop", **base))
     tens = run_spmd(spec, nprocs,
                     config=ExecutionConfig(backend="tensor", **base))
     assert tens.clocks == ref.clocks  # metrics must not perturb the model
+    assert tens.total_messages == ref.total_messages
+    assert tens.total_bytes == ref.total_bytes
     assert tens.metrics is not None and ref.metrics is not None
     for f in dataclasses.fields(ref.metrics):
         assert getattr(tens.metrics, f.name) == \
@@ -258,6 +261,78 @@ def test_tensor_faulted_metrics_cell(name):
                               16, seed=7)
     _assert_tensor_metrics_match_coop(TensorAlltoallv(name, sizes), 16,
                                       fault_plan=TENSOR_FAULT_SPEC)
+
+
+# ----------------------------------------------------------------------
+# L = P lanes over the distance-major state: the cells the lockstep
+# collapse cannot cover — a real size matrix (zeros included), P not a
+# power of two, radix > 2, more than one tier
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("ppn", [1, 4])
+@pytest.mark.parametrize("radix", [2, 3])
+@pytest.mark.parametrize("nprocs", [12, 100])
+def test_tensor_lanes_two_phase_cells(nprocs, radix, ppn):
+    sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
+                              nprocs, seed=7)
+    assert (sizes == 0).any()
+    _assert_tensor_metrics_match_coop(
+        TensorAlltoallv("two_phase_bruck", sizes, radix=radix), nprocs,
+        machine=THETA.with_overrides(ppn=ppn))
+
+
+def test_tensor_lanes_two_phase_faulted_cell():
+    # Delays shift what each receiver sees and a straggler stretches one
+    # lane's charges: the rolled unpack fold must land on the right lanes.
+    sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
+                              100, seed=7)
+    _assert_tensor_metrics_match_coop(
+        TensorAlltoallv("two_phase_bruck", sizes, radix=3), 100,
+        fault_plan=TENSOR_FAULT_SPEC, machine=THETA.with_overrides(ppn=4))
+
+
+def test_tensor_lanes_piece_size_is_invisible(monkeypatch):
+    # The evaluator walks a substep's rows in cache-sized pieces; at test
+    # sizes one piece holds a whole substep, so shrink it to 3 rows.
+    import repro.simmpi.tensor as tensor
+
+    nprocs = 100
+    sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
+                              nprocs, seed=7)
+    spec = TensorAlltoallv("two_phase_bruck", sizes, radix=3)
+    config = ExecutionConfig(backend="tensor", machine=THETA,
+                             trace="metrics", wire="phantom")
+    whole = run_spmd(spec, nprocs, config=config)
+    monkeypatch.setattr(tensor, "_PIECE_BYTES", 3 * 8 * nprocs)
+    pieces = run_spmd(spec, nprocs, config=config)
+    assert pieces.clocks == whole.clocks
+    assert pieces.metrics == whole.metrics
+
+
+def test_tensor_lanes_memory_tripwire():
+    """A deterministic stand-in for a timer: the L = P evaluator may hold
+    the distance-major state (one P x P int64) plus one substep's copy
+    seconds (a (P/2) x P block) — 1.6 matrices at its peak.  Per-step
+    P x m temporaries (a gather through a key matrix, a ``where`` over
+    the block, a lane-major fold) cost another matrix or two and trip
+    this."""
+    import tracemalloc
+
+    nprocs = 1024
+    sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
+                              nprocs, seed=7)
+    spec = TensorAlltoallv("two_phase_bruck", sizes)
+    config = ExecutionConfig(backend="tensor", machine=THETA, trace=False,
+                             wire="phantom")
+    tracemalloc.start()
+    try:
+        result = run_spmd(spec, nprocs, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert min(result.clocks) > 0
+    assert peak <= 3.0 * nprocs * nprocs * 8, \
+        f"peak {peak / (nprocs * nprocs * 8):.2f} size matrices"
 
 
 def test_tensor_rejects_unsupported_features():

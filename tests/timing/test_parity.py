@@ -130,6 +130,39 @@ class TestNonuniformExactParity:
         with pytest.raises(KeyError):
             predict_alltoallv("bogus", THETA, 8, UniformBlocks(8))
 
+    @pytest.mark.parametrize("algorithm", NONUNIFORM)
+    def test_sizes_argument_stands_in_for_the_draw(self, algorithm):
+        dist = UniformBlocks(48)
+        drawn = predict_alltoallv(algorithm, THETA, 13, dist, seed=4,
+                                  mode="exact").elapsed
+        sizes = block_size_matrix(dist, 13, seed=4)
+        assert predict_alltoallv(algorithm, THETA, 13, dist, seed=99,
+                                 mode="exact", sizes=sizes).elapsed == drawn
+        # ... and it is the matrix, not the seed, that is evaluated
+        functional = functional_nonuniform(algorithm, THETA, 2 * sizes)
+        assert predict_alltoallv(algorithm, THETA, 13, dist, mode="exact",
+                                 sizes=2 * sizes).elapsed \
+            == pytest.approx(functional, rel=1e-12, abs=1e-15)
+
+    def test_sizes_argument_is_exact_mode_only(self):
+        dist = UniformBlocks(48)
+        clt = predict_alltoallv("two_phase_bruck", THETA, 64, dist, seed=4,
+                                mode="clt")
+        with_sizes = predict_alltoallv(
+            "two_phase_bruck", THETA, 64, dist, seed=4, mode="clt",
+            sizes=np.zeros((64, 64), dtype=np.int64))
+        assert with_sizes == clt
+
+    @pytest.mark.parametrize("bad,match", [
+        (np.zeros((4, 5), dtype=np.int64), "integer"),
+        (np.zeros((8, 8), dtype=np.float64), "integer"),
+        (-np.ones((8, 8), dtype=np.int64), ">= 0"),
+    ])
+    def test_sizes_argument_validated(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            predict_alltoallv("spread_out", THETA, 8, UniformBlocks(8),
+                              mode="exact", sizes=bad)
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode"):
             predict_alltoallv("spread_out", THETA, 8, UniformBlocks(8),

@@ -96,6 +96,20 @@ class TestDeterminism:
         assert not np.array_equal(block_size_matrix(d, 16, seed=3),
                                   block_size_matrix(d, 16, seed=4))
 
+    @pytest.mark.parametrize("dist,expect", [
+        (PowerLawBlocks(32), [25, 25, 15, 8, 1, 11, 12, 1, 1, 32, 20, 6]),
+        (PowerLawBlocks(1024, base=0.999),
+         [725, 729, 401, 202, 35, 282, 303, 29, 31, 1023, 541, 162]),
+        (NormalBlocks(100), [64, 65, 51, 41, 23, 45, 46, 22, 22, 100, 57, 38]),
+    ], ids=lambda v: v.describe() if hasattr(v, "describe") else "")
+    def test_tabulated_samples_pinned(self, dist, expect):
+        # Inverse-CDF sampling hands back searchsorted's own int64 array
+        # (no second P^2 copy); dtype and draws are pinned to the values
+        # the copying version produced.
+        got = dist.sample(np.random.default_rng(5), 12)
+        assert got.dtype == np.int64
+        assert got.tolist() == expect
+
     def test_matrix_shape(self):
         m = block_size_matrix(UniformBlocks(8), 5, seed=0)
         assert m.shape == (5, 5)
