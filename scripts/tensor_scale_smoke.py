@@ -11,13 +11,19 @@ bit-identical to the coop backend at small P.
 One cell runs the other way — one lane per rank over a real size matrix:
 power-law two-phase Bruck at P=4096, its clocks first checked against
 the coop backend at P=256 on the same distribution — so the L=P lanes
-path is exercised at scale outside the host benchmark too.
+path is exercised at scale outside the host benchmark too.  A second
+check cell pins the leader-based `grouped` kernel to coop on a ragged
+layout (P=250 in groups of 8: 31 full groups and one of 2) over a
+power-law matrix, and its 32K-rank run must keep O(n_groups) state: a
+`tracemalloc` peak under 16 MiB (one dense n_groups x n_groups float64
+array alone is 128 MiB there).
 
 Usage: PYTHONPATH=src python scripts/tensor_scale_smoke.py [P] [budget_s]
 """
 
 import sys
 import time
+import tracemalloc
 
 from repro.core.registry import list_algorithms
 from repro.simmpi import ExecutionConfig, THETA, run_spmd
@@ -25,6 +31,7 @@ from repro.simmpi.tensor import TensorAlltoall, TensorAlltoallv
 from repro.workloads import PowerLawBlocks, block_size_matrix
 
 LANES_P, LANES_CHECK_P = 4096, 256
+GROUPED_CHECK_P, GROUPED_PEAK_MIB = 250, 16
 
 
 def lanes_cell(config: ExecutionConfig) -> None:
@@ -48,6 +55,31 @@ def lanes_cell(config: ExecutionConfig) -> None:
           f"{res.total_messages:>12} messages")
 
 
+def grouped_cell(config: ExecutionConfig, nprocs: int, block: int) -> None:
+    """`grouped` against coop on a ragged power-law cell, then its
+    constant-size run at ``nprocs`` under a memory ceiling."""
+    check = TensorAlltoallv(
+        "grouped", block_size_matrix(PowerLawBlocks(32), GROUPED_CHECK_P,
+                                     seed=11), 8)
+    coop = run_spmd(check, GROUPED_CHECK_P,
+                    config=config.replace(backend="coop"))
+    assert run_spmd(check, GROUPED_CHECK_P, config=config).clocks \
+        == coop.clocks, "tensor grouped clocks differ from coop's"
+    tracemalloc.start()
+    try:
+        res = run_spmd(TensorAlltoallv("grouped", block), nprocs,
+                       config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert min(res.clocks) > 0 and len(res.clocks) == nprocs
+    assert peak < GROUPED_PEAK_MIB * 2 ** 20, \
+        f"grouped at P={nprocs} peaked at {peak / 2 ** 20:.1f} MiB"
+    print(f"{'grouped check P=%d + peak' % GROUPED_CHECK_P:32s} "
+          f"{peak / 2 ** 20:7.1f} MiB traced peak at P={nprocs} "
+          f"(ceiling {GROUPED_PEAK_MIB})")
+
+
 def main(nprocs: int = 32768, wall_budget: float = 300.0) -> int:
     config = ExecutionConfig(machine=THETA, trace=False, backend="tensor",
                              wire="phantom")
@@ -59,6 +91,7 @@ def main(nprocs: int = 32768, wall_budget: float = 300.0) -> int:
 
     start = time.perf_counter()
     lanes_cell(config)
+    grouped_cell(config, nprocs, block)
     for label, spec in specs:
         t0 = time.perf_counter()
         res = run_spmd(spec, nprocs, config=config)
@@ -70,7 +103,7 @@ def main(nprocs: int = 32768, wall_budget: float = 300.0) -> int:
               f"{clock * 1e3:12.4f} simulated ms  "
               f"{res.total_messages:>12} messages")
     total = time.perf_counter() - start
-    print(f"\n{len(specs)} algorithms at P={nprocs} + the L=P cell: "
+    print(f"\n{len(specs)} algorithms at P={nprocs} + the two check cells: "
           f"{total:.1f}s host wall (budget {wall_budget:.0f}s)")
     if total >= wall_budget:
         print(f"FAIL: exceeded the {wall_budget:.0f}s wall budget")

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,18 +67,6 @@ _PIECE_BYTES = 1 << 18
 #: Node-aware kernels whose leader/member programs diverge whenever the
 #: machine has more than one rank per node.
 _LOCALITY_ALGORITHMS = ("locality_padded_bruck", "locality_two_phase_bruck")
-
-
-def _timing():
-    # Deferred: repro.timing's package __init__ pulls in modules that read
-    # repro.simmpi attributes, so importing it at module load would cycle.
-    from ..timing import engine
-    return engine
-
-
-def _core_common():
-    from ..core import common
-    return common
 
 
 # ======================================================================
@@ -236,7 +225,7 @@ class _TensorMetrics:
     def on_subset_complete(self, eng: "_Engine", sel: np.ndarray, src,
                            tag: int, nbytes, departs, head: np.ndarray,
                            serial, intra) -> None:
-        """A lane-subset completion (``_Engine.complete_at``)."""
+        """A lane-subset completion (``_Engine.recv_from``)."""
         clocks = eng.clocks[sel]
         qw = np.maximum(0.0, clocks - head)
         rw = np.maximum(0.0, head - clocks)
@@ -244,8 +233,7 @@ class _TensorMetrics:
         landing = np.maximum(clocks, head)
         k = len(sel)
         nb = np.broadcast_to(np.asarray(nbytes, dtype=np.int64), (k,))
-        srcb = np.broadcast_to(np.asarray(src if src is not None else 0,
-                                          dtype=np.int64), (k,))
+        srcb = np.broadcast_to(np.asarray(src, dtype=np.int64), (k,))
         self.ex_src.append(srcb.copy())
         self.ex_dst.append(np.asarray(sel, dtype=np.int64).copy())
         self.ex_tag.append(np.full(k, tag, dtype=np.int64))
@@ -256,7 +244,7 @@ class _TensorMetrics:
         self.ex_end.append(landing)
         self._note_step(tag, k, int(nb.sum()))
         self._hist_vec(nb)
-        uncong = _timing().serial_time_vec(eng.machine, nbytes, 1, intra)
+        uncong = eng.timing.serial_time_vec(eng.machine, nbytes, 1, intra)
         self.attr_transmit[sel] += uncong
         self.attr_congestion[sel] += serial - uncong
         self.attr_fault[sel] += serial * eng.straggle[sel] - serial
@@ -264,7 +252,7 @@ class _TensorMetrics:
 
     def _attr_serial(self, eng: "_Engine", nb, serial, intra,
                      rw: np.ndarray) -> None:
-        uncong = _timing().serial_time_vec(eng.machine, nb, 1, intra)
+        uncong = eng.timing.serial_time_vec(eng.machine, nb, 1, intra)
         self.attr_transmit += uncong
         self.attr_congestion += serial - uncong
         self.attr_fault += serial * eng.straggle - serial
@@ -397,6 +385,13 @@ class _Engine:
         self.p = int(nprocs)
         self.machine = machine
         self.injector = injector
+        # Resolved once per run, not per charge.  Deferred to here because
+        # repro.timing's package __init__ pulls in modules that read
+        # repro.simmpi attributes, so a module-level import would cycle.
+        from ..core import common
+        from ..timing import engine as timing
+        self.timing = timing
+        self.common = common
         self.L = 1 if lockstep else self.p
         self.lane = np.arange(self.L, dtype=np.int64)
         self.clocks = np.zeros(self.L, dtype=np.float64)
@@ -506,13 +501,12 @@ class _Engine:
 
     def charge_copy(self, nbytes) -> None:
         """One ``charge_copy`` per lane; zero/negative sizes are free."""
-        eng = _timing()
-        self.clocks = self.clocks + eng.copy_time_vec(self.machine, nbytes)
+        self.clocks = self.clocks + self.timing.copy_time_vec(self.machine,
+                                                              nbytes)
 
     def charge_datatype(self, nblocks, nbytes) -> None:
         """One datatype pack/unpack charge per lane."""
-        eng = _timing()
-        self.clocks = self.clocks + eng.datatype_time_vec(
+        self.clocks = self.clocks + self.timing.datatype_time_vec(
             self.machine, nblocks, nbytes)
 
     def charge_copies(self, counts) -> None:
@@ -565,23 +559,23 @@ class _Engine:
             # one entry per lane; a single lane stands for all P ranks
             self.total_bytes += int(nb.sum()) * (self.p // self.L)
 
-    def _with_extras(self, dst_off: int, nbytes, tag: int,
-                     departs: np.ndarray) -> np.ndarray:
-        """Run every lane's envelope through the fault engine (delay rules
-        shift the departure the receiver sees; the sender clock is not
-        affected, exactly as in ``Communicator._post_envelope``)."""
-        out = departs.astype(np.float64).copy()
-        phase = self.current_phase
-        mt = self.metrics
-        nbl = np.broadcast_to(np.asarray(nbytes), (self.p,))
-        for r in range(self.p):
-            env = Envelope(r, (r + dst_off) % self.p, tag, None,
-                           float(out[r]), int(nbl[r]))
+    def _delayed(self, src, dst, nbytes, tag, departs) -> np.ndarray:
+        """Run one envelope per departure through the fault engine, in
+        order (delay rules shift the departure the receiver sees; the
+        sender clock is not affected, exactly as in
+        ``Communicator._post_envelope``).  ``src``/``dst``/``nbytes``/
+        ``tag`` are scalars or arrays aligned with ``departs``."""
+        out = np.array(departs, dtype=np.float64)
+        cols = [np.broadcast_to(np.asarray(v), out.shape).tolist()
+                for v in (src, dst, tag, nbytes)]
+        phase, mt = self.current_phase, self.metrics
+        for i, (s, d, t, nb) in enumerate(zip(*cols)):
+            env = Envelope(s, d, t, None, float(out[i]), nb)
             _, records = self.injector.on_post(env, phase)
             if records and mt is not None:
                 for rec in records:
                     mt.on_fault(rec.kind, rec.delay, rec.src)
-            out[r] = env.depart
+            out[i] = env.depart
         return out
 
     def post(self, dst_off: int, nbytes, tag: int) -> np.ndarray:
@@ -595,7 +589,8 @@ class _Engine:
             self.metrics.attr_overhead += o
         self._account(nbytes, self.p)
         if self.injector is not None:
-            return self._with_extras(dst_off, nbytes, tag, self.clocks)
+            return self._delayed(self.lane, (self.lane + dst_off) % self.p,
+                                 nbytes, tag, self.clocks)
         return self.clocks.copy()
 
     def recv_post(self, intra=False) -> None:
@@ -613,7 +608,7 @@ class _Engine:
         ``tag``/``dst_off`` (when given) record the completion in the
         attached metrics store; they never change the clock arithmetic.
         """
-        eng = _timing()
+        eng = self.timing
         head = np.asarray(departs) + eng.head_latency_vec(self.machine,
                                                           nbytes, intra)
         serial = eng.serial_time_vec(self.machine, nbytes, self.p, intra)
@@ -703,8 +698,8 @@ class _Engine:
             for off in range(1, p):
                 self.clocks = self.clocks + o_send_mat[:, off - 1]
                 nb = cols if cols.ndim == 0 else colsb[:, off - 1]
-                departs[:, off - 1] = self._with_extras(off, nb, tag,
-                                                        self.clocks)
+                departs[:, off - 1] = self._delayed(
+                    self.lane, (self.lane + off) % p, nb, tag, self.clocks)
         mt = self.metrics
         if mt is not None:
             mt.attr_overhead += (o_recv_mat.sum(axis=1)
@@ -828,45 +823,31 @@ class _Engine:
         self.total_messages += len(sel)
         self.total_bytes += (len(sel) * int(nb) if nb.ndim == 0
                              else int(nb.sum()))
-        departs = self.clocks[sel].copy()
         if self.injector is not None:
-            phase = self.current_phase
-            dstb = np.broadcast_to(np.asarray(dst), (len(sel),))
-            nbl = np.broadcast_to(nb, (len(sel),))
-            for i, r in enumerate(np.asarray(sel)):
-                env = Envelope(int(r), int(dstb[i]), tag, None,
-                               float(departs[i]), int(nbl[i]))
-                _, records = self.injector.on_post(env, phase)
-                if records and mt is not None:
-                    for rec in records:
-                        mt.on_fault(rec.kind, rec.delay, rec.src)
-                departs[i] = env.depart
-        return departs
+            return self._delayed(sel, dst, nb, tag, self.clocks[sel])
+        return self.clocks[sel].copy()
 
-    def recv_at(self, sel: np.ndarray, src=None) -> None:
-        """Lanes ``sel`` each post one irecv; ``src`` (scalar or aligned
-        array) selects the tier of the expected sender."""
-        intra = False if src is None else self._intra_pair(src, sel)
+    def recv_from(self, sel: np.ndarray, src, departs, nbytes,
+                  tag: int) -> None:
+        """Lanes ``sel`` each receive one message from ``src`` (scalar or
+        aligned array), whose tier prices it: the irecv's ``o_recv``, then
+        the completion rule."""
+        intra = self._intra_pair(src, sel)
         o = self._o_recv[sel] if intra is False \
             else np.where(intra, self._o_recv_intra[sel], self._o_recv[sel])
         self.clocks[sel] = self.clocks[sel] + o
-        if self.metrics is not None:
-            self.metrics.attr_overhead[sel] += o
-
-    def complete_at(self, sel: np.ndarray, departs, nbytes,
-                    src=None, tag=None) -> None:
-        intra = False if src is None else self._intra_pair(src, sel)
-        eng = _timing()
+        eng = self.timing
         head = np.asarray(departs) + eng.head_latency_vec(self.machine,
                                                           nbytes, intra)
         serial = eng.serial_time_vec(self.machine, nbytes, self.p, intra)
         mt = self.metrics
-        if mt is not None and tag is not None:
+        if mt is not None:
+            mt.attr_overhead[sel] += o
             mt.on_subset_complete(self, sel, src, tag, nbytes, departs,
                                   head, serial, intra)
         self.clocks[sel] = np.maximum(self.clocks[sel], head) \
             + serial * self.straggle[sel]
-        if mt is not None and tag is not None:
+        if mt is not None:
             mt.on_step_end(self, tag)
 
     def copies_at(self, sel: np.ndarray, counts: np.ndarray) -> None:
@@ -1003,10 +984,10 @@ class _SizeView:
         """The sizes as a distance-major :class:`BlockSizeState` with
         ``L`` lanes (constant sizes need only as many lanes as the engine
         runs)."""
-        common = _core_common()
+        from ..core.common import BlockSizeState
         if self.is_const:
-            return common.BlockSizeState.uniform(self.p, self.const, L)
-        return common.BlockSizeState.from_matrix(self.mat)
+            return BlockSizeState.uniform(self.p, self.const, L)
+        return BlockSizeState.from_matrix(self.mat)
 
     def fanout_cols(self, lane: np.ndarray):
         """Spread-out send sizes: scalar, or ``(L, p-1)`` with column
@@ -1029,7 +1010,7 @@ def _eval_bruck(eng: _Engine, n: int, *, sign: int, use_dt: bool,
     p = eng.p
     if n == 0:
         return
-    common = _core_common()
+    common = eng.common
     with eng.phase("initial_rotation"):
         eng.charge_copies(np.full(p, n, dtype=np.int64))
     with eng.phase("communication"):
@@ -1055,7 +1036,7 @@ def _eval_zero_rotation(eng: _Engine, n: int, *, tag_base: int = 0,
     p = eng.p
     if n == 0:
         return
-    common = _core_common()
+    common = eng.common
     with eng.phase("index_setup"):
         eng.charge_compute(p * 1.0e-9)
     eng.charge_copy(n)
@@ -1071,7 +1052,7 @@ def _eval_zero_copy(eng: _Engine, n: int, *, tag_base: int = 0) -> None:
     p = eng.p
     if n == 0:
         return
-    common = _core_common()
+    common = eng.common
     with eng.phase("initial_rotation"):
         eng.charge_copies(np.full(p, n, dtype=np.int64))
     with eng.phase("communication"):
@@ -1130,7 +1111,7 @@ def _eval_padded(eng: _Engine, sv: _SizeView, *, vendor: bool,
 def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
                     radix: int = 2) -> None:
     p, L = eng.p, eng.L
-    common = _core_common()
+    common = eng.common
     with eng.phase("setup"):
         eng.allreduce_rounds()
         eng.charge_compute(p * 1.0e-9)
@@ -1170,20 +1151,17 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
 
 def _eval_sloav(eng: _Engine, sv: _SizeView, *, tag_base: int = 0) -> None:
     p, L = eng.p, eng.L
-    common = _core_common()
     with eng.phase("setup"):
         eng.charge_compute(p * 1.0e-9)
     cur = sv.row_matrix(L)           # block size at slot j's original dest
     temp_sizes = np.zeros((L, p), dtype=np.int64)
     stored = np.zeros(L, dtype=np.int64)
     capacity = np.full(L, 4096, dtype=np.int64)
+    store = _sloav_store_scalar if L == 1 else _sloav_store_vector
     with eng.phase("communication"):
-        for k in range(common.num_steps(p)):
-            dist = common.send_block_distances(k, p)
-            if not dist:
-                continue
-            m = len(dist)
-            d = np.asarray(dist, dtype=np.int64)
+        for sub in eng.common.bruck_substeps(p):
+            k, d = sub.step, sub.distances
+            m = len(d)
             keys = (eng.lane[:, None] + d[None, :]) % p   # rot[j], slot j=i
             meta_out = np.take_along_axis(cur, keys, axis=1)
             data_total = meta_out.sum(axis=1)
@@ -1194,12 +1172,7 @@ def _eval_sloav(eng: _Engine, sv: _SizeView, *, tag_base: int = 0) -> None:
                          tag_base + 2 * k + 1)                    # combined
             eng.charge_copy(4 * m)                    # meta out of combined
             meta_in = eng.from_src(meta_out, 1 << k)
-            if L == 1:
-                _sloav_store_scalar(eng, dist, k, meta_in[0],
-                                    temp_sizes, stored, capacity)
-            else:
-                _sloav_store_vector(eng, dist, k, meta_in,
-                                    temp_sizes, stored, capacity)
+            store(eng, sub, meta_in, temp_sizes, stored, capacity)
             np.put_along_axis(cur, keys, meta_in, axis=1)
     with eng.phase("final_rotation"):
         # Every slot 1..p-1 was stored at least once; rotate in slot order.
@@ -1214,46 +1187,47 @@ def _eval_sloav(eng: _Engine, sv: _SizeView, *, tag_base: int = 0) -> None:
         eng.charge_copies(rc)
 
 
-def _sloav_store_scalar(eng: _Engine, dist, k: int, meta_row,
+def _sloav_store_scalar(eng: _Engine, sub, meta_in,
                         temp_sizes, stored, capacity) -> None:
-    """Lockstep replay of ``_GrowableTemp.store`` with Python floats (the
-    same ``copy_time`` expression, so bit-identical to the charge loop)."""
-    m = eng.machine
-    c = float(eng.clocks[0])
-    st = int(stored[0])
-    cap = int(capacity[0])
-    low_mask = (1 << k) - 1
-    for a, j in enumerate(dist):
-        cnt = int(meta_row[a])
-        first = (j & low_mask) == 0   # first visit <=> no lower bit set
-        st += cnt - int(temp_sizes[0, j])
-        sub = cnt if first else 0
-        while st > cap:
-            grow = st - sub
-            if grow > 0:
-                c += m.copy_time(grow)
-            cap *= 2
-        if cnt > 0:
-            c += m.copy_time(cnt)
-        temp_sizes[0, j] = cnt
-    eng.clocks = np.array([c])
-    stored[0] = st
-    capacity[0] = cap
+    """Lockstep replay of ``_GrowableTemp.store`` over one step's blocks:
+    one sequential fold of their copy times (zero-size blocks add
+    ``+0.0``), each regrowth copy inserted before the block whose arrival
+    pushed the running ``stored`` total past the capacity — a power of
+    two, doubled until the total fits."""
+    dist, cnt = sub.distances, meta_in[0]
+    running = int(stored[0]) + np.cumsum(cnt - temp_sizes[0, dist])
+    # log2 of the capacity in force before the first and after each block
+    level = np.maximum.accumulate(np.concatenate((
+        [int(capacity[0]).bit_length() - 1],
+        np.searchsorted(_P2_TABLE, running, side="left"))))
+    ups = np.diff(level)
+    at = np.repeat(np.flatnonzero(ups), ups[ups > 0])
+    # Regrowing copies what the buffer already holds: not a block on its
+    # first visit (no lower bit set in its distance).
+    held = running[at] - np.where(dist[at] & ((1 << sub.step) - 1),
+                                  0, cnt[at])
+    seconds = np.insert(eng.copy_seconds(cnt, np.empty(len(cnt))), at,
+                        eng.copy_seconds(held, np.empty(len(held))))
+    eng.clocks = np.add.accumulate(
+        np.concatenate((eng.clocks, seconds)))[-1:]
+    temp_sizes[0, dist] = cnt
+    stored[0] = running[-1]
+    capacity[0] = 1 << int(level[-1])
 
 
-def _sloav_store_vector(eng: _Engine, dist, k: int, meta_in,
+def _sloav_store_vector(eng: _Engine, sub, meta_in,
                         temp_sizes, stored, capacity) -> None:
-    low_mask = (1 << k) - 1
-    for a, j in enumerate(dist):
+    low_mask = (1 << sub.step) - 1
+    for a, j in enumerate(sub.distances.tolist()):
         cnt = meta_in[:, a]
         first = (j & low_mask) == 0
         stored += cnt - temp_sizes[:, j]
-        sub = cnt if first else np.zeros_like(cnt)
+        fresh = cnt if first else np.zeros_like(cnt)
         while True:
             mask = stored > capacity
             if not mask.any():
                 break
-            eng.charge_copy(np.where(mask, stored - sub, 0))
+            eng.charge_copy(np.where(mask, stored - fresh, 0))
             capacity[mask] *= 2
         eng.charge_copy(cnt)
         temp_sizes[:, j] = cnt
@@ -1272,6 +1246,62 @@ def _eval_vendor_alltoallv(eng: _Engine, sv: _SizeView) -> None:
         eng.fanout(sv.fanout_cols(eng.lane), tag)
 
 
+def _node_layout(eng: _Engine, width: int):
+    """Leader/member geometry for groups of ``width`` consecutive ranks
+    (the last may be smaller), each led by its lowest rank: ``(width, n,
+    leads, lsize, lead, members)`` with ``leads``/``lsize`` per group and
+    ``lead`` per lane."""
+    p = eng.p
+    width = min(int(width), p)
+    n = (p + width - 1) // width
+    leads = np.arange(n, dtype=np.int64) * width
+    lsize = np.minimum(leads + width, p) - leads
+    lead = (eng.lane // width) * width
+    members = eng.lane[eng.lane != lead]
+    return width, n, leads, lsize, lead, members
+
+
+def _gather_to_leaders(eng: _Engine, layout, messages) -> None:
+    """Every member posts each ``(nbytes, tag)`` of ``messages`` to its
+    leader; the leaders then drain their members in ascending order, each
+    member's messages in posted order.  ``nbytes`` is one size or a
+    per-rank vector."""
+    width, _, leads, lsize, lead, members = layout
+    posted = []
+    for nbytes, tag in messages:
+        nb = np.broadcast_to(np.asarray(nbytes), (eng.p,))
+        departs = np.zeros(eng.p, dtype=np.float64)
+        departs[members] = eng.post_at(members, lead[members],
+                                       nb[members], tag)
+        posted.append((departs, nb, tag))
+    for j in range(1, width):
+        sel = leads[lsize > j]
+        mem = sel + j
+        for departs, nb, tag in posted:
+            eng.recv_from(sel, mem, departs[mem], nb[mem], tag)
+
+
+def _scatter_from_leaders(eng: _Engine, layout, nbytes, tag: int,
+                          build) -> None:
+    """Leaders serve their group slot by slot (ascending):
+    ``build(sel, mem, j)`` charges what leaders ``sel`` do locally for
+    the ranks ``mem`` in slot ``j`` — slot 0 is the leader itself — and
+    every other slot's blob (``nbytes``: one size or a per-rank vector)
+    is then sent; the members receive once every leader has posted."""
+    width, _, leads, lsize, lead, members = layout
+    nb = np.broadcast_to(np.asarray(nbytes), (eng.p,))
+    departs = np.zeros(eng.p, dtype=np.float64)
+    for j in range(width):
+        sel = leads[lsize > j]
+        mem = sel + j
+        build(sel, mem, j)
+        if j:
+            departs[mem] = eng.post_at(sel, mem, nb[mem], tag)
+    if members.size:
+        eng.recv_from(members, lead[members], departs[members],
+                      nb[members], tag)
+
+
 def _eval_grouped(eng: _Engine, sv: _SizeView, *, group_size: int = 8,
                   tag_base: int = 0) -> None:
     """Leader-based grouped alltoallv.  Leaders and members run different
@@ -1279,141 +1309,154 @@ def _eval_grouped(eng: _Engine, sv: _SizeView, *, group_size: int = 8,
     p = eng.p
     if eng.L != p:
         raise ValueError("grouped evaluation requires one lane per rank")
-    g = min(group_size, p)
-    n_groups = (p + g - 1) // g
-    lane = eng.lane
-    lead = (lane // g) * g
-    leads = np.arange(n_groups, dtype=np.int64) * g
-    gsize = np.minimum(leads + g, p) - leads
-    members = lane[lane != lead]
-    t = tag_base
-    row_sum = np.broadcast_to(np.asarray(sv.row_sum()), (p,))
-    col_sum = np.broadcast_to(np.asarray(sv.col_sum()), (p,))
+    layout = _node_layout(eng, group_size)
+    g, n_groups, _, gsize, _, members = layout
 
-    # -- phase 1: members funnel counts + data to their leader ----------
-    with eng.phase("gather_to_leader"):
-        d_up_counts = np.zeros(p, dtype=np.float64)
-        d_up_data = np.zeros(p, dtype=np.float64)
-        if members.size:
-            d_up_counts[members] = eng.post_at(
-                members, lead[members], 8 * p, t + 0)
-            d_up_data[members] = eng.post_at(
-                members, lead[members], row_sum[members], t + 1)
-        for j in range(1, g):
-            sel = leads[gsize > j]
-            if sel.size == 0:
-                continue
-            mem = sel + j
-            eng.recv_at(sel, mem)
-            eng.complete_at(sel, d_up_counts[mem], 8 * p, mem, tag=t + 0)
-            eng.recv_at(sel, mem)
-            eng.complete_at(sel, d_up_data[mem], row_sum[mem], mem,
-                            tag=t + 1)
-
-    # -- phase 2: leaders exchange aggregated counts + blobs ------------
+    with eng.phase("gather_to_leader"):     # counts, then data
+        _gather_to_leaders(eng, layout, [(8 * p, tag_base),
+                                         (sv.row_sum(), tag_base + 1)])
     with eng.phase("leader_exchange"):
         if n_groups > 1:
-            gi = np.arange(n_groups)
-            if sv.is_const:
-                blob_bytes = sv.const * np.outer(gsize, gsize)
-                # Build charges: for each og (ascending, skip own) the
-                # kernel copies gsize[gi]*gsize[og] blocks of `const` —
-                # all equal, so the fold over all og collapses into one.
-                eng.const_copies_at(leads, sv.const, gsize * (p - gsize))
-            else:
-                S = sv.mat
-                starts = leads
-                blob_bytes = np.add.reduceat(
-                    np.add.reduceat(S, starts, axis=0), starts, axis=1)
-                member_idx = leads[:, None] + np.arange(g)[None, :]
-                member_ok = np.arange(g)[None, :] < gsize[:, None]
-                member_idx = np.where(member_ok, member_idx, 0)
-                for og in range(n_groups):
-                    sel_mask = gi != og
-                    sel = leads[sel_mask]
-                    dsts = np.arange(leads[og], leads[og] + gsize[og])
-                    srcs = member_idx[sel_mask]            # (nsel, g)
-                    ok = member_ok[sel_mask]
-                    counts = S[srcs[:, :, None], dsts[None, None, :]]
-                    counts = counts * ok[:, :, None]
-                    eng.copies_at(sel, counts.reshape(len(sel), -1))
-            # Post loop: per og (ascending, skip own) each leader isends
-            # its count header then its blob.
-            cnt_bytes = 8 * np.outer(gsize, gsize)
-            Dc = np.zeros((n_groups, n_groups), dtype=np.float64)
-            Db = np.zeros((n_groups, n_groups), dtype=np.float64)
-            for og in range(n_groups):
-                sel_mask = gi != og
-                sel = leads[sel_mask]
-                Dc[sel_mask, og] = eng.post_at(
-                    sel, leads[og], cnt_bytes[sel_mask, og], t + 2)
-                Db[sel_mask, og] = eng.post_at(
-                    sel, leads[og], blob_bytes[sel_mask, og], t + 3)
-            # Receive loop: per og ascending, counts then blob.
-            for og in range(n_groups):
-                sel_mask = gi != og
-                sel = leads[sel_mask]
-                eng.recv_at(sel, leads[og])
-                eng.complete_at(sel, Dc[og, sel_mask],
-                                cnt_bytes[og, sel_mask], leads[og],
-                                tag=t + 2)
-                eng.recv_at(sel, leads[og])
-                eng.complete_at(sel, Db[og, sel_mask],
-                                blob_bytes[og, sel_mask], leads[og],
-                                tag=t + 3)
+            _leader_exchange(eng, sv, layout, tag_base + 2)
 
-    # -- phase 3: leaders deliver; members receive and place ------------
+    def place(ranks):
+        """A rank scatters its blob: one copy per source, ascending."""
+        if sv.is_const:
+            eng.const_copies_at(ranks, sv.const, p)
+        else:
+            eng.copies_at(ranks, np.ascontiguousarray(sv.mat[:, ranks].T))
+
+    def build(sel, mem, j):
+        """Blob build: one copy per own-group source block (ascending);
+        the leader's own slice is placed directly, with no send."""
+        own = gsize[sel // g]
+        if sv.is_const:
+            eng.const_copies_at(sel, sv.const, own)
+        else:
+            ok = np.arange(g)[None, :] < own[:, None]
+            own_idx = np.where(ok, sel[:, None] + np.arange(g)[None, :], 0)
+            eng.copies_at(sel, sv.mat[own_idx, mem[:, None]] * ok)
+        if j == 0:
+            place(sel)
+
     with eng.phase("scatter_from_leader"):
-        d_down = np.zeros(p, dtype=np.float64)
-        for j in range(g):
-            sel = leads[gsize > j]
-            if sel.size == 0:
-                continue
-            mem = sel + j
-            # Blob build: one copy per own-group source block (ascending).
-            if sv.is_const:
-                eng.const_copies_at(sel, sv.const, gsize[gsize > j])
-            else:
-                own_idx = sel[:, None] + np.arange(g)[None, :]
-                ok = np.arange(g)[None, :] < gsize[gsize > j][:, None]
-                own_idx = np.where(ok, own_idx, 0)
-                counts = sv.mat[own_idx, mem[:, None]] * ok
-                eng.copies_at(sel, counts)
-            if j == 0:
-                # The leader's own slice: placed directly (every source
-                # ascending), no send.
-                if sv.is_const:
-                    eng.const_copies_at(sel, sv.const,
-                                        np.full(sel.size, p))
-                else:
-                    eng.copies_at(sel, np.ascontiguousarray(
-                        sv.mat[:, mem].T))
-            else:
-                d_down[mem] = eng.post_at(sel, mem, col_sum[mem], t + 4)
+        _scatter_from_leaders(eng, layout, sv.col_sum(), tag_base + 4, build)
         if members.size:
-            eng.recv_at(members, lead[members])
-            eng.complete_at(members, d_down[members], col_sum[members],
-                            lead[members], tag=t + 4)
-            if sv.is_const:
-                eng.const_copies_at(members, sv.const,
-                                    np.full(members.size, p))
-            else:
-                eng.copies_at(members, np.ascontiguousarray(
-                    sv.mat[:, members].T))
+            place(members)
 
 
-def _node_layout(eng: _Engine):
-    """Shared node geometry for the locality evaluators: ``(ppn, nn,
-    leads, lsize, lead, members)`` with ``leads``/``lsize`` per node and
-    ``lead`` per lane."""
-    p = eng.p
-    ppn = min(int(eng.machine.ppn), p)
-    nn = (p + ppn - 1) // ppn
-    leads = np.arange(nn, dtype=np.int64) * ppn
-    lsize = np.minimum(leads + ppn, p) - leads
-    lead = (eng.lane // ppn) * ppn
-    members = eng.lane[eng.lane != lead]
-    return ppn, nn, leads, lsize, lead, members
+def _leader_exchange(eng: _Engine, sv: _SizeView, layout, tag: int) -> None:
+    """Phase 2 of the grouped scheme: every leader builds, then posts, a
+    count header (``tag``) and a blob (``tag + 1``) per other group,
+    ascending, then receives in the same order.  Evaluated sender-major
+    over the ``n`` leader clocks alone (DESIGN.md §5.5): a leader's posts
+    are one running sum, so the departures a source's receivers see are
+    recomputed when the receive loop reaches that source, never stored
+    per pair; consecutive sources with equal inputs share the result."""
+    g, n, leads, gsize, _, _ = layout
+    p, m, tm = eng.p, eng.machine, eng.timing
+    mt, injector = eng.metrics, eng.injector
+    gi = np.arange(n)
+    pairs = p * p - int((gsize * gsize).sum())  # rank pairs across groups
+    if sv.is_const:
+        # Build charges: gsize[i]*gsize[og] copies of `const` per other
+        # group og — all equal, so the whole fold collapses into one.
+        eng.const_copies_at(leads, sv.const, gsize * (p - gsize))
+        blob_rows = None
+        blob_total = sv.const * pairs
+    else:
+        # A leader's (og, source, destination)-ordered block sequence is
+        # its group's rows regrouped; a ragged last group's padding and
+        # the own-group entries fold as +0.0.
+        mat = sv.mat if n * g == p else np.pad(sv.mat, (0, n * g - p))
+        counts = mat.reshape(n, g, n, g).transpose(0, 2, 1, 3).copy()
+        counts[gi, gi] = 0
+        eng.copies_at(leads, counts.reshape(n, -1))
+        blob_rows = counts.sum(axis=(2, 3))
+        blob_total = int(blob_rows.sum())
+        del mat, counts
+    eng.total_messages += 2 * n * (n - 1)
+    eng.total_bytes += 8 * pairs + blob_total
+
+    # The leaders on one node are consecutive groups [lo, hi); a leader
+    # alone on its node (always, on the flat machine) gets (0, 0).
+    node = leads // m.ppn if m.ppn > 1 else gi
+    lo = np.searchsorted(node, node, "left")
+    hi = np.searchsorted(node, node, "right")
+    near = np.where((hi - lo > 1)[:, None], np.stack([lo, hi], 1),
+                    0).tolist()
+    tx = [(o, o_intra, *ab) for o, o_intra, ab in zip(
+        eng._o_send[leads].tolist(), eng._o_send_intra[leads].tolist(), near)]
+    o_rx, o_rx_intra = eng._o_recv[leads], eng._o_recv_intra[leads]
+    straggle = eng.straggle[leads]
+    seq = np.empty(2 * n - 1, dtype=np.float64)
+
+    @lru_cache(maxsize=1)
+    def post_chain(first, o, o_intra, a, b):
+        """Running sums of ``first`` then one leader's send overheads in
+        posting order (header, blob per destination): the left-to-right
+        additions of its ``+=`` chain.  ``[a, b)`` counts the leader, so
+        among its destinations the neighbours are ``[a, b - 1)``."""
+        seq[0] = first
+        seq[1:] = o
+        if b:
+            seq[1 + 2 * a:2 * b - 1] = o_intra
+        return np.add.accumulate(seq)
+
+    @lru_cache(maxsize=1)
+    def landing(gs, a, b, row):
+        """What one source's receivers see, by receiving group (its own
+        entry is unused): tier mask, ``o_recv``, and per message kind the
+        bytes, head latency, serial and straggle-scaled serial time."""
+        intra = (gi >= a) & (gi < b)
+        kinds = []
+        for nb in (8 * gs * gsize,
+                   sv.const * gs * gsize if row is None else blob_rows[row]):
+            serial = tm.serial_time_vec(m, nb, p, intra)
+            kinds.append((nb, tm.head_latency_vec(m, nb, intra), serial,
+                          serial * straggle))
+        return intra, np.where(intra, o_rx_intra, o_rx), kinds
+
+    start = eng.clocks[leads].tolist()
+    c = np.array([post_chain(first, *tx[i])[-1]
+                  for i, first in enumerate(start)])
+    if mt is not None:
+        mt.attr_overhead[leads] = [
+            post_chain(first, *tx[i])[-1]
+            for i, first in enumerate(mt.attr_overhead[leads].tolist())]
+        eng.clocks[leads] = c       # the step log reads every lane
+    arrive = np.zeros(n, dtype=np.float64)
+    for og in range(n):
+        posts = post_chain(start[og], *tx[og])[1:]
+        intra, rx, kinds = landing(int(gsize[og]), *near[og],
+                                   None if sv.is_const else og)
+        if mt is not None or injector is not None:
+            others = gi[gi != og]
+            sel = leads[others]
+        if injector is not None:
+            posts = eng._delayed(
+                leads[og], np.repeat(sel, 2),
+                np.stack([nb[others] for nb, *_ in kinds], 1).ravel(),
+                np.tile([tag, tag + 1], n - 1), posts)
+        own = c[og]
+        for k, (nb, head, serial, scaled) in enumerate(kinds):
+            departs = posts[k::2]                 # by destination, no og
+            c += rx
+            np.add(departs[:og], head[:og], out=arrive[:og])
+            np.add(departs[og:], head[og + 1:], out=arrive[og + 1:])
+            if mt is not None:
+                mt.attr_overhead[sel] += rx[others]
+                eng.clocks[sel] = c[others]
+                mt.on_subset_complete(
+                    eng, sel, leads[og], tag + k, nb[others], departs,
+                    arrive[others], serial[others], intra[others])
+            np.maximum(c, arrive, out=c)
+            c += scaled
+            if mt is not None:
+                eng.clocks[sel] = c[others]
+                mt.on_step_end(eng, tag + k)
+        c[og] = own                               # a leader skips itself
+    eng.clocks[leads] = c
 
 
 def _eval_locality_padded(eng: _Engine, sv: _SizeView, *,
@@ -1427,8 +1470,9 @@ def _eval_locality_padded(eng: _Engine, sv: _SizeView, *,
     if eng.L != p:
         raise ValueError(
             "locality evaluation requires one lane per rank")
-    common = _core_common()
-    ppn, nn, leads, lsize, lead, members = _node_layout(eng)
+    common = eng.common
+    layout = _node_layout(eng, eng.machine.ppn)
+    ppn, nn, leads, lsize, _, _ = layout
     K = common.num_steps(nn)
     t_up = tag_base
     t_step = tag_base + 1
@@ -1442,17 +1486,7 @@ def _eval_locality_padded(eng: _Engine, sv: _SizeView, *,
         eng.charge_copies(sv.row())
 
     with eng.phase("node_gather"):
-        d_up = np.zeros(p, dtype=np.float64)
-        if members.size:
-            d_up[members] = eng.post_at(members, lead[members],
-                                        p * max_n, t_up)
-        for j in range(1, ppn):
-            sel = leads[lsize > j]
-            if sel.size == 0:
-                continue
-            mem = sel + j
-            eng.recv_at(sel, mem)
-            eng.complete_at(sel, d_up[mem], p * max_n, mem, tag=t_up)
+        _gather_to_leaders(eng, layout, [(p * max_n, t_up)])
 
     super_n = ppn * ppn * max_n
     with eng.phase("inter_bruck"):
@@ -1476,25 +1510,14 @@ def _eval_locality_padded(eng: _Engine, sv: _SizeView, *,
             srcL = src_i * ppn
             eng.const_copies_at(leads, super_n, m)
             D = eng.post_at(leads, dstL, m * super_n, t_step + k)
-            eng.recv_at(leads, srcL)
-            eng.complete_at(leads, D[src_i], m * super_n, srcL,
-                            tag=t_step + k)
+            eng.recv_from(leads, srcL, D[src_i], m * super_n, t_step + k)
             eng.const_copies_at(leads, super_n, m)
 
     with eng.phase("node_scatter"):
-        d_down = np.zeros(p, dtype=np.float64)
-        for i in range(ppn):
-            sel = leads[lsize > i]
-            if sel.size == 0:
-                continue
-            eng.const_copies_at(sel, max_n, np.full(sel.size, p))
-            if i > 0:
-                mem = sel + i
-                d_down[mem] = eng.post_at(sel, mem, p * max_n, t_down)
-        if members.size:
-            eng.recv_at(members, lead[members])
-            eng.complete_at(members, d_down[members], p * max_n,
-                            lead[members], tag=t_down)
+        # Every slot's padded blob is P copies of max_n; slot 0 keeps it.
+        _scatter_from_leaders(
+            eng, layout, p * max_n, t_down,
+            lambda sel, mem, j: eng.const_copies_at(sel, max_n, p))
 
     with eng.phase("scan"):
         eng.charge_copies(sv.col())
@@ -1509,8 +1532,9 @@ def _eval_locality_two_phase(eng: _Engine, sv: _SizeView, *,
     if eng.L != p:
         raise ValueError(
             "locality evaluation requires one lane per rank")
-    common = _core_common()
-    ppn, nn, leads, lsize, lead, members = _node_layout(eng)
+    common = eng.common
+    layout = _node_layout(eng, eng.machine.ppn)
+    ppn, nn, leads, lsize, _, members = layout
     K = common.num_steps(nn)
     t_up_c = tag_base
     t_up_d = tag_base + 1
@@ -1519,27 +1543,10 @@ def _eval_locality_two_phase(eng: _Engine, sv: _SizeView, *,
     t_down = tag_base + 2 + 2 * K
     S = (sv.mat if sv.mat is not None
          else np.full((p, p), sv.const, dtype=np.int64))
-    row_sum = S.sum(axis=1)
-    col_sum = S.sum(axis=0)
 
-    with eng.phase("node_gather"):
-        d_up_c = np.zeros(p, dtype=np.float64)
-        d_up_d = np.zeros(p, dtype=np.float64)
-        if members.size:
-            d_up_c[members] = eng.post_at(members, lead[members],
-                                          8 * p, t_up_c)
-            d_up_d[members] = eng.post_at(members, lead[members],
-                                          row_sum[members], t_up_d)
-        for j in range(1, ppn):
-            sel = leads[lsize > j]
-            if sel.size == 0:
-                continue
-            mem = sel + j
-            eng.recv_at(sel, mem)
-            eng.complete_at(sel, d_up_c[mem], 8 * p, mem, tag=t_up_c)
-            eng.recv_at(sel, mem)
-            eng.complete_at(sel, d_up_d[mem], row_sum[mem], mem,
-                            tag=t_up_d)
+    with eng.phase("node_gather"):          # counts, then data
+        _gather_to_leaders(eng, layout, [(8 * p, t_up_c),
+                                         (S.sum(axis=1), t_up_d)])
 
     with eng.phase("setup"):
         eng.compute_at(leads, nn * 1.0e-9)
@@ -1569,9 +1576,8 @@ def _eval_locality_two_phase(eng: _Engine, sv: _SizeView, *,
         with eng.phase("metadata_exchange"):
             Dm = eng.post_at(leads, dstL, 4 * ppn * ppn * m,
                              t_meta + 2 * k)
-            eng.recv_at(leads, srcL)
-            eng.complete_at(leads, Dm[src_i], 4 * ppn * ppn * m, srcL,
-                            tag=t_meta + 2 * k)
+            eng.recv_from(leads, srcL, Dm[src_i], 4 * ppn * ppn * m,
+                          t_meta + 2 * k)
         with eng.phase("data_exchange"):
             counts_out = np.take_along_axis(curN, keys, axis=1)
             # Pack charges, slot-ascending: a parked blob forwards as one
@@ -1589,30 +1595,21 @@ def _eval_locality_two_phase(eng: _Engine, sv: _SizeView, *,
             eng.copies_at(leads, np.concatenate(pack, axis=1))
             out_total = counts_out.sum(axis=1)
             Dd = eng.post_at(leads, dstL, out_total, t_data + 2 * k)
-            eng.recv_at(leads, srcL)
-            eng.complete_at(leads, Dd[src_i], out_total[src_i], srcL,
-                            tag=t_data + 2 * k)
+            eng.recv_from(leads, srcL, Dd[src_i], out_total[src_i],
+                          t_data + 2 * k)
             counts_in = counts_out[src_i]
             eng.copies_at(leads, counts_in)
             np.put_along_axis(curN, keys, counts_in, axis=1)
 
+    def build(sel, mem, j):
+        col = np.ascontiguousarray(S[:, mem].T)
+        eng.copies_at(sel, col)                    # blob build
+        if j == 0:
+            eng.copies_at(sel, col)                # place own column
+
     with eng.phase("node_scatter"):
-        d_down = np.zeros(p, dtype=np.float64)
-        for i in range(ppn):
-            sel = leads[lsize > i]
-            if sel.size == 0:
-                continue
-            mem = sel + i
-            col = np.ascontiguousarray(S[:, mem].T)
-            eng.copies_at(sel, col)                # blob build
-            if i == 0:
-                eng.copies_at(sel, col)            # place own column
-            else:
-                d_down[mem] = eng.post_at(sel, mem, col_sum[mem], t_down)
+        _scatter_from_leaders(eng, layout, S.sum(axis=0), t_down, build)
         if members.size:
-            eng.recv_at(members, lead[members])
-            eng.complete_at(members, d_down[members], col_sum[members],
-                            lead[members], tag=t_down)
             eng.copies_at(members, np.ascontiguousarray(S[:, members].T))
 
 
@@ -1733,6 +1730,8 @@ class TensorAlltoallv(TensorProgram):
         if radix != 2 and not algo.supports_radix:
             raise ValueError(
                 f"algorithm {algorithm!r} does not support radix {radix}")
+        if group_size < 1:      # the kernel's check, before any rank runs
+            raise ValueError(f"group_size must be >= 1, got {group_size}")
         self.algorithm = algorithm
         self.sizes = sizes
         self.group_size = int(group_size)

@@ -16,9 +16,12 @@ paths are proven correct, not just fast.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.registry import get_algorithm, list_algorithms
 from repro.simmpi import (
@@ -188,11 +191,12 @@ def test_tensor_nonuniform_const_sizes(name):
 # ----------------------------------------------------------------------
 
 def _assert_tensor_metrics_match_coop(spec, nprocs, fault_plan=None,
-                                      machine=THETA):
+                                      machine=THETA, trace="metrics"):
     """The vectorized metrics store must reproduce the scalar registry's
     RunMetrics snapshot *bit for bit* — every field, including float wait
-    totals, in-flight maxima, and the phase/collective time tables."""
-    base = dict(machine=machine, trace="metrics", timeout=300,
+    totals, in-flight maxima, and the phase/collective time tables.
+    With ``trace=False`` only the clocks and wire totals exist."""
+    base = dict(machine=machine, trace=trace, timeout=300,
                 wire="phantom", fault_plan=fault_plan, fault_seed=23)
     ref = run_spmd(spec, nprocs,
                    config=ExecutionConfig(backend="coop", **base))
@@ -201,6 +205,8 @@ def _assert_tensor_metrics_match_coop(spec, nprocs, fault_plan=None,
     assert tens.clocks == ref.clocks  # metrics must not perturb the model
     assert tens.total_messages == ref.total_messages
     assert tens.total_bytes == ref.total_bytes
+    if trace != "metrics":
+        return
     assert tens.metrics is not None and ref.metrics is not None
     for f in dataclasses.fields(ref.metrics):
         assert getattr(tens.metrics, f.name) == \
@@ -263,6 +269,97 @@ def test_tensor_faulted_metrics_cell(name):
                                       fault_plan=TENSOR_FAULT_SPEC)
 
 
+@pytest.mark.parametrize(
+    "name", ["locality_padded_bruck", "locality_two_phase_bruck"])
+def test_tensor_locality_faulted_metrics_cell(name):
+    # A ragged last node (18 = 4 x 4 + 2), delayed funnel and delivery
+    # messages, a straggling member: the leader/member helper pair the
+    # locality kernels share with `grouped`.
+    sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
+                              18, seed=7)
+    _assert_tensor_metrics_match_coop(
+        TensorAlltoallv(name, sizes), 18, fault_plan=TENSOR_FAULT_SPEC,
+        machine=THETA.with_overrides(ppn=4))
+
+
+def test_tensor_sloav_lockstep_regrowth():
+    # Constant sizes take the single-lane store replay; 1500-byte blocks
+    # outgrow the 4 KiB temporary buffer several times, on first visits
+    # and on revisits.
+    _assert_tensor_matches_coop(TensorAlltoallv("sloav", 1500), 24)
+
+
+# ----------------------------------------------------------------------
+# grouped: leaders and members run different programs, and the leader
+# exchange is evaluated sender-major (DESIGN.md 5.5) — generated cells
+# ----------------------------------------------------------------------
+
+@given(nprocs=st.integers(2, 96),
+       width=st.sampled_from([1, 2, 3, 8, "P", "P+5"]),
+       ppn=st.sampled_from([1, 3, 4]),
+       matrix_seed=st.none() | st.integers(0, 2 ** 16),
+       trace=st.sampled_from([False, "metrics"]),
+       fault_plan=st.sampled_from([None, TENSOR_FAULT_SPEC]))
+@settings(max_examples=50, deadline=None)
+def test_tensor_grouped_property(nprocs, width, ppn, matrix_seed, trace,
+                                 fault_plan):
+    """Ragged last group, a single group, g = 1 and g >= P are all
+    reachable; so are leaders that share a node (g < ppn) and ones that
+    never do."""
+    if matrix_seed is None:
+        sizes = BLOCK
+    else:       # a drawn matrix, about a third of it zeros
+        rng = np.random.default_rng(matrix_seed)
+        sizes = rng.integers(0, MAX_BLOCK + 1, (nprocs, nprocs)) \
+            * (rng.random((nprocs, nprocs)) < 0.65)
+    group_size = {"P": nprocs, "P+5": nprocs + 5}.get(width, width)
+    _assert_tensor_metrics_match_coop(
+        TensorAlltoallv("grouped", sizes, group_size), nprocs,
+        fault_plan=fault_plan, machine=THETA.with_overrides(ppn=ppn),
+        trace=trace)
+
+
+@pytest.mark.parametrize("group_size", [0, -3])
+@pytest.mark.parametrize("backend", ["coop", "tensor"])
+def test_grouped_rejects_bad_group_size_on_every_backend(backend,
+                                                         group_size):
+    # The tensor spec refuses at construction, before any lane runs, with
+    # the message the functional kernel raises from its first rank.
+    def run():
+        if backend == "tensor":
+            return TensorAlltoallv("grouped", BLOCK, group_size)
+        sizes = np.full((4, 4), BLOCK, dtype=np.int64)
+        fn = get_algorithm("grouped", kind="nonuniform").fn
+        run_spmd(lambda comm: fn(comm, *build_vargs(comm.rank, sizes)
+                                 .as_tuple(), group_size=group_size),
+                 4, config=ExecutionConfig(backend="coop", machine=THETA,
+                                           trace=False, wire="phantom"))
+
+    with pytest.raises(ValueError, match=rf"group_size must be >= 1, "
+                                         rf"got {group_size}"):
+        run()
+
+
+def test_tensor_grouped_memory_tripwire():
+    """A deterministic stand-in for a timer: with constant sizes the
+    leader exchange keeps O(n_groups) state — a handful of vectors over
+    the 1 024 leaders and the P lanes, 1.6 MiB at its peak.  One dense
+    n_groups x n_groups float64 temporary (a stored departure or size
+    matrix) is 8 MiB on its own and trips this."""
+    nprocs = 8192
+    config = ExecutionConfig(backend="tensor", machine=THETA, trace=False,
+                             wire="phantom")
+    tracemalloc.start()
+    try:
+        result = run_spmd(TensorAlltoallv("grouped", 64), nprocs,
+                          config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert min(result.clocks) > 0
+    assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 # ----------------------------------------------------------------------
 # L = P lanes over the distance-major state: the cells the lockstep
 # collapse cannot cover — a real size matrix (zeros included), P not a
@@ -316,8 +413,6 @@ def test_tensor_lanes_memory_tripwire():
     P x m temporaries (a gather through a key matrix, a ``where`` over
     the block, a lane-major fold) cost another matrix or two and trip
     this."""
-    import tracemalloc
-
     nprocs = 1024
     sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
                               nprocs, seed=7)
