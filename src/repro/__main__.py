@@ -285,13 +285,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     events_on = args.level in ("full", "events")
-    # Only *per-event* traces carry the O(messages) recording cost that
-    # makes large P impractical; aggregate metrics are bounded and run
-    # at any P the chosen backend reaches (32K on tensor).
-    if events_on and args.nprocs > 256:
-        print("error: per-event traced runs are practical up to 256 ranks; "
-              "use --level metrics (with --backend coop or tensor) for "
-              "large-P aggregate observability", file=sys.stderr)
+    # Recording per-event traces is cheap (copies are columns); what grows
+    # is the exported *document*, ~550 B per event: ~0.3 GB at P=256,
+    # ~1.3 GB at P=512.  Aggregate metrics are bounded and run at any P
+    # the chosen backend reaches (32K on tensor).
+    if args.out and events_on and args.nprocs > 256:
+        print("error: --out timelines are practical up to 256 ranks (the "
+              "document is ~550 B per event); drop --out to keep the "
+              "summary and --critical-path up to 1024 ranks",
+              file=sys.stderr)
+        return 2
+    if events_on and args.nprocs > 1024:
+        print("error: per-event traced runs are practical up to 1024 "
+              "ranks; use --level metrics (with --backend coop or tensor) "
+              "for large-P aggregate observability", file=sys.stderr)
         return 2
     if args.backend == "threads" and args.nprocs > 256:
         print("error: the thread backend is practical up to 256 ranks; "
@@ -509,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", default="full",
                    choices=["full", "events", "metrics"],
                    help="observability level: full (events + metrics, "
-                        "<= 256 ranks), events (per-event traces only, "
-                        "<= 256 ranks), metrics (aggregates only — any "
+                        "<= 1024 ranks), events (per-event traces only, "
+                        "<= 1024 ranks), metrics (aggregates only — any "
                         "P, the only level the tensor backend records)")
     p.add_argument("--critical-path", action="store_true",
                    help="print the critical-path walk and per-rank "
@@ -524,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "to the JSONL ledger at PATH")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the trace-event JSON here (needs --level "
-                        "full/events; omit to print the summary only)")
+                        "full/events, <= 256 ranks; omit to print the "
+                        "summary only)")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("recommend", help="Fig. 9 advisor")

@@ -38,7 +38,7 @@ from .faults import auth_tag, payload_digest
 from .machine import MachineProfile
 from .network import ChannelKey, Envelope, Network
 from .request import RecvRequest, Request, SendRequest, waitall
-from .tracing import NullTrace, TraceBase
+from .tracing import TraceBase
 
 __all__ = ["Communicator", "MAX_USER_TAG"]
 
@@ -534,7 +534,8 @@ class Communicator:
         per-copy times are evaluated with the same IEEE expressions and the
         clock advances through the same left-to-right float additions (via
         ``np.add.accumulate``) — but the per-block interpreter overhead
-        collapses into one vectorized call.  This is what keeps the
+        collapses into one vectorized call, and the tracer receives the
+        run as those two arrays (``record_copies``).  This is what keeps the
         Two-Phase/Padded staging loops' cost accounting cheap at P=1024+.
         Non-positive entries are skipped, exactly like ``charge_copy``.
         """
@@ -545,11 +546,7 @@ class Communicator:
         m = self.machine
         times = m.kappa_mem + m.gamma_mem * arr.astype(np.float64)
         clocks = np.add.accumulate(np.concatenate(([self._clock], times)))
-        if not isinstance(self._trace, NullTrace):
-            begin = self._clock
-            for n, after in zip(arr.tolist(), clocks[1:].tolist()):
-                self._trace.record_copy(int(n), after, begin=begin)
-                begin = after
+        self._trace.record_copies(arr, clocks)
         self._clock = float(clocks[-1])
 
     def pack(self, buffer: Buffer, blocks: IndexedBlocks) -> np.ndarray:

@@ -54,8 +54,14 @@ smearing.  Both decompositions are exact in *sum* on every rank.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from .tracing import RecvEvent, SendEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .executor import SPMDResult
@@ -247,50 +253,82 @@ def _straggle_factors(result: "SPMDResult") -> List[float]:
     return [plan.straggle_factor(r) for r in range(result.nprocs)]
 
 
+def _seq_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum: the adds of a ``total += v`` loop, in that
+    order (``np.sum`` is pairwise and rounds differently)."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def _busy_columns(tr) -> Tuple[np.ndarray, np.ndarray]:
+    """``(start, end)`` of one rank's clock-advancing events, program order
+    within sends, then receives, then copies, then datatype ops."""
+    _, copy_start, copy_end = tr.copy_columns()
+    before, after = tr.sends + tr.recvs, tr.datatype_ops
+    return (np.concatenate(([e.start for e in before], copy_start,
+                            [e.start for e in after])),
+            np.concatenate(([e.end for e in before], copy_end,
+                            [e.end for e in after])))
+
+
+def _busy_length(start: np.ndarray, end: np.ndarray) -> float:
+    """Total length of the union of the ``[start, end]`` intervals.
+
+    In ``(start, end)`` order a merged interval opens wherever a start
+    exceeds every end before it.  The merged lengths are folded left to
+    right (:func:`_seq_sum`): ``queue_wait`` is derived from this sum and
+    must not move by an ulp with how the intervals are stored.
+    """
+    if start.size == 0:
+        return 0.0
+    order = np.lexsort((end, start))
+    s, reach = start[order], np.maximum.accumulate(end[order])
+    opens = np.flatnonzero(s[1:] > reach[:-1]) + 1
+    first = np.concatenate(([0], opens))
+    last = np.concatenate((opens - 1, [s.size - 1]))
+    return _seq_sum(reach[last] - s[first])
+
+
 def _from_events(result: "SPMDResult") -> CriticalPathResult:
+    # Deferred: repro.timing's package __init__ reads repro.simmpi.
+    from ..timing.engine import serial_time_vec
     machine = result.machine
     p = result.nprocs
     straggle = _straggle_factors(result)
     injected = 0.0
     per_rank: List[RankAttribution] = []
-
-    # Busy events per rank, sorted by end time, for the gap analysis and
-    # the backward walk.
-    busy_by_rank: List[List] = []
-    for tr in result.traces:
-        evs = list(tr.sends) + list(tr.recvs) + list(tr.copies) \
-            + list(tr.datatype_ops)
-        evs.sort(key=lambda e: (e.end, e.start))
-        busy_by_rank.append(evs)
-        injected += math.fsum(e.detail and _parse_delay(e.detail) or 0.0
-                              for e in tr.faults if e.kind == "delay")
+    n_busy = 0
 
     for rank, tr in enumerate(result.traces):
+        injected += math.fsum(e.detail and _parse_delay(e.detail) or 0.0
+                              for e in tr.faults if e.kind == "delay")
         makespan = result.clocks[rank]
         s = straggle[rank]
-        overhead = math.fsum(e.duration for e in tr.sends)
-        o_recv_total = 0.0
-        transmit = 0.0
-        congestion = 0.0
-        fault_delay = 0.0
-        for e in tr.recvs:
-            intra = machine.is_intra(e.src, e.dst)
-            o_recv_total += (machine.o_recv_intra if intra
-                             else machine.o_recv) * s
-            serial = machine.serial_time(e.nbytes, p, intra)
-            uncong = machine.serial_time(e.nbytes, 1, intra)
-            transmit += uncong
-            congestion += serial - uncong
-            if s != 1.0:
-                # On a clean rank duration == serial exactly; only
-                # straggler ranks pay a serialization surcharge (the
-                # difference would otherwise accumulate float dust).
-                fault_delay += e.duration - serial
-        overhead += o_recv_total
+        start, end = _busy_columns(tr)
+        n_busy += start.size
+        # Per-receive charges, evaluated over the rank's receive columns
+        # and summed in program order.
+        recvs = slice(len(tr.sends), len(tr.sends) + len(tr.recvs))
+        src, dst, nbytes = np.array(
+            [(e.src, e.dst, e.nbytes) for e in tr.recvs],
+            dtype=np.int64).reshape(-1, 3).T
+        # is_intra is plain integer arithmetic, so it maps over columns.
+        intra = np.broadcast_to(machine.is_intra(src, dst), nbytes.shape)
+        o_recv_total = _seq_sum(
+            np.where(intra, machine.o_recv_intra, machine.o_recv) * s)
+        serial = serial_time_vec(machine, nbytes, p, intra)
+        uncong = serial_time_vec(machine, nbytes, 1, intra)
+        transmit = _seq_sum(uncong)
+        congestion = _seq_sum(serial - uncong)
+        # On a clean rank duration == serial exactly; only straggler
+        # ranks pay a serialization surcharge (the difference would
+        # otherwise accumulate float dust).
+        fault_delay = 0.0 if s == 1.0 else _seq_sum(
+            (end[recvs] - start[recvs]) - serial)
+        overhead = math.fsum(e.duration for e in tr.sends) + o_recv_total
         # Idle time = clock minus the union of evented busy intervals;
         # the un-evented o_recv charges live in those gaps too.
-        busy = _union_length(busy_by_rank[rank])
-        queue_wait = max(0.0, makespan - busy - o_recv_total)
+        queue_wait = max(0.0, makespan - _busy_length(start, end)
+                         - o_recv_total)
         compute, queue_wait = _close_buckets(
             makespan, overhead, transmit, congestion, queue_wait,
             fault_delay)
@@ -299,7 +337,7 @@ def _from_events(result: "SPMDResult") -> CriticalPathResult:
             overhead=overhead, transmit=transmit, congestion=congestion,
             queue_wait=queue_wait, fault_delay=fault_delay))
 
-    path = _walk_event_dag(result, busy_by_rank)
+    path = _walk_event_dag(result, guard=n_busy + p + 1)
     return CriticalPathResult(nprocs=p, elapsed=result.elapsed,
                               per_rank=per_rank, path=path,
                               granularity="events",
@@ -314,30 +352,61 @@ def _parse_delay(detail: str) -> float:
         return 0.0
 
 
-def _union_length(events: List) -> float:
-    """Total length of the union of ``[start, end]`` event intervals."""
-    if not events:
-        return 0.0
-    ivs = sorted((e.start, e.end) for e in events)
-    total = 0.0
-    cur_s, cur_e = ivs[0]
-    for s, e in ivs[1:]:
-        if s > cur_e:
-            total += cur_e - cur_s
-            cur_s, cur_e = s, e
-        elif e > cur_e:
-            cur_e = e
-    return total + (cur_e - cur_s)
+class _Timeline:
+    """One rank's busy events in stable ``(end, start)`` order (ties keep
+    the :func:`_busy_columns` order), as plain lists to ``bisect`` and
+    index.  Built only for the ranks the walk visits."""
+
+    def __init__(self, tr) -> None:
+        start, end = _busy_columns(tr)
+        order = np.lexsort((start, end))
+        self.starts: List[float] = start[order].tolist()
+        self.ends: List[float] = end[order].tolist()
+        # A typed event per position, or a copy's byte count.
+        items = [*tr.sends, *tr.recvs, *tr.copy_columns()[0].tolist(),
+                 *tr.datatype_ops]
+        self.items = [items[i] for i in order.tolist()]
+        self._trace = tr
+
+    def latest(self, t: float) -> int:
+        """Position of the latest event with ``end <= t`` (tolerating
+        float dust above), or -1."""
+        return bisect_right(self.ends, t + _EPS * max(1.0, t)) - 1
+
+    @cached_property
+    def recv_seq(self) -> Dict[int, int]:
+        """``id(receive)`` -> its index on its ``(src, dst, tag)`` channel,
+        in program order (the network delivers each channel FIFO)."""
+        seen: Dict[Tuple[int, int, int], int] = {}
+        table: Dict[int, int] = {}
+        for e in self._trace.recvs:
+            chan = (e.src, e.dst, e.tag)
+            table[id(e)] = seen[chan] = seen.get(chan, -1) + 1
+        return table
+
+    @cached_property
+    def sends_on(self) -> Dict[Tuple[int, int, int], List[SendEvent]]:
+        """This rank's sends per ``(src, dst, tag)`` channel, in order."""
+        table: Dict[Tuple[int, int, int], List[SendEvent]] = {}
+        for e in self._trace.sends:
+            table.setdefault((e.src, e.dst, e.tag), []).append(e)
+        return table
 
 
-def _kind_of(e) -> str:
-    name = type(e).__name__
-    return {"SendEvent": "send", "RecvEvent": "recv", "CopyEvent": "copy",
-            "DatatypeEvent": "datatype"}.get(name, "event")
+def _segment(rank: int, ev, start: float, end: float) -> PathSegment:
+    """The path segment of one :class:`_Timeline` item."""
+    if isinstance(ev, SendEvent):
+        kind, detail = "send", f"-> {ev.dst} tag={ev.tag} {ev.nbytes}B"
+    elif isinstance(ev, RecvEvent):
+        kind, detail = "recv", f"<- {ev.src} tag={ev.tag} {ev.nbytes}B"
+    elif isinstance(ev, int):
+        kind, detail = "copy", f"{ev}B"
+    else:
+        kind, detail = "datatype", f"{ev.nbytes}B"
+    return PathSegment(rank, kind, start, end, detail)
 
 
-def _walk_event_dag(result: "SPMDResult",
-                    busy_by_rank: List[List]) -> List[PathSegment]:
+def _walk_event_dag(result: "SPMDResult", guard: int) -> List[PathSegment]:
     """Backward walk from the slowest rank's final clock.
 
     At each step, the latest event ending at (or before) the cursor is
@@ -347,86 +416,49 @@ def _walk_event_dag(result: "SPMDResult",
     matches the i-th send — per-channel FIFO).  Everything else is
     locally bound and the walk steps to the event's start.
     """
-    # Channel-indexed send events for recv -> send matching.
-    send_chan: Dict[Tuple[int, int, int], List] = {}
-    for tr in result.traces:
-        for e in tr.sends:
-            send_chan.setdefault((e.src, e.dst, e.tag), []).append(e)
-    # Receive sequence numbers per channel, assigned in per-rank program
-    # order (the network delivers each channel FIFO).
-    recv_seq: Dict[int, Dict[int, int]] = {}
-    for tr in result.traces:
-        seqs: Dict[Tuple[int, int, int], int] = {}
-        table: Dict[int, int] = {}
-        for e in tr.recvs:
-            chan = (e.src, e.dst, e.tag)
-            table[id(e)] = seqs.get(chan, 0)
-            seqs[chan] = seqs.get(chan, 0) + 1
-        recv_seq[tr.rank] = table
+    timelines: Dict[int, _Timeline] = {}
+
+    def timeline(r: int) -> _Timeline:
+        if r not in timelines:
+            timelines[r] = _Timeline(result.traces[r])
+        return timelines[r]
 
     rank = max(range(result.nprocs), key=lambda r: (result.clocks[r], -r))
     t = result.clocks[rank]
     segments: List[PathSegment] = []
-    if t > 0.0 and (not busy_by_rank[rank]
-                    or busy_by_rank[rank][-1].end < t):
+    tl = timeline(rank)
+    if t > 0.0 and (not tl.ends or tl.ends[-1] < t):
         # The final charge was un-evented (o_recv / compute): close the
         # gap so the path provably ends at the run's makespan.
-        start = busy_by_rank[rank][-1].end if busy_by_rank[rank] else 0.0
+        start = tl.ends[-1] if tl.ends else 0.0
         segments.append(PathSegment(rank, "local", start, t))
         t = start
-    guard = sum(len(evs) for evs in busy_by_rank) + result.nprocs + 1
     for _ in range(guard):
         if t <= 0.0:
             break
-        evs = busy_by_rank[rank]
-        ev = _latest_ending_at_or_before(evs, t)
-        if ev is None:
+        pos = tl.latest(t)
+        if pos < 0:
             segments.append(PathSegment(rank, "local", 0.0, t))
             break
-        if ev.end < t - _EPS * max(1.0, t):
+        ev, start, end = tl.items[pos], tl.starts[pos], tl.ends[pos]
+        if end < t - _EPS * max(1.0, t):
             # Gap between the cursor and the last event: un-evented
             # charges (o_recv, explicit compute) on this rank.
-            segments.append(PathSegment(rank, "local", ev.end, t))
-        segments.append(PathSegment(
-            rank, _kind_of(ev), ev.start, ev.end, _detail_of(ev)))
-        if _kind_of(ev) == "recv":
-            prev = _latest_ending_at_or_before(evs, ev.start)
-            prev_end = prev.end if prev is not None else 0.0
-            if ev.start > prev_end + _EPS * max(1.0, ev.start):
+            segments.append(PathSegment(rank, "local", end, t))
+        segments.append(_segment(rank, ev, start, end))
+        t = start
+        if isinstance(ev, RecvEvent):
+            prev = tl.latest(start)
+            prev_end = tl.ends[prev] if prev >= 0 else 0.0
+            if start > prev_end + _EPS * max(1.0, start):
                 # Arrival-bound landing: hop to the matching send.
-                seq = recv_seq[rank].get(id(ev))
-                sends = send_chan.get((ev.src, ev.dst, ev.tag), [])
-                if seq is not None and seq < len(sends):
-                    s = sends[seq]
-                    rank, t = ev.src, s.end
-                    continue
-        t = ev.start
+                sends = timeline(ev.src).sends_on.get(
+                    (ev.src, ev.dst, ev.tag), [])
+                seq = tl.recv_seq[id(ev)]
+                if seq < len(sends):
+                    rank, t, tl = ev.src, sends[seq].end, timeline(ev.src)
     segments.reverse()
     return segments
-
-
-def _detail_of(e) -> str:
-    kind = _kind_of(e)
-    if kind == "send":
-        return f"-> {e.dst} tag={e.tag} {e.nbytes}B"
-    if kind == "recv":
-        return f"<- {e.src} tag={e.tag} {e.nbytes}B"
-    if kind in ("copy", "datatype"):
-        return f"{e.nbytes}B"
-    return ""
-
-
-def _latest_ending_at_or_before(evs: List, t: float):
-    """Latest event with ``end <= t`` (tolerating float dust above)."""
-    lo, hi = 0, len(evs)
-    bound = t + _EPS * max(1.0, t)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if evs[mid].end <= bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return evs[lo - 1] if lo else None
 
 
 # ----------------------------------------------------------------------

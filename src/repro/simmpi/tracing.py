@@ -25,6 +25,9 @@ derived ``duration``), so exporters can draw slices without re-deriving
 cost-model internals.  Events are deterministic: simulated clocks depend
 only on the communication structure, never on OS scheduling.
 
+Copies — nearly all events of a staged non-uniform run — are the one kind
+:class:`RankTrace` stores as columns rather than objects (DESIGN.md 5.1.1).
+
 The tracer API is the abstract base :class:`TraceBase`; besides
 :class:`RankTrace` the runtime ships :class:`NullTrace` (tracing disabled)
 and :class:`MetricsTrace` (aggregate counters only, no per-event storage —
@@ -35,8 +38,11 @@ by subclassing :class:`TraceBase`.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "SendEvent",
@@ -239,6 +245,19 @@ class TraceBase(abc.ABC):
                     begin: Optional[float] = None) -> None:
         """One explicit local copy finishing at simulated clock ``clock``."""
 
+    def record_copies(self, nbytes: np.ndarray, clocks: np.ndarray) -> None:
+        """A run of back-to-back copies: copy ``i`` moves ``nbytes[i]``
+        bytes over ``[clocks[i], clocks[i + 1]]``.
+
+        Concrete rather than abstract: the default replays the run through
+        :meth:`record_copy`, one call per copy in order, so a tracer that
+        implements only the abstract hooks still sees every copy.
+        """
+        stamps = np.asarray(clocks, dtype=np.float64).tolist()
+        for n, begin, clock in zip(np.asarray(nbytes).tolist(), stamps,
+                                   stamps[1:]):
+            self.record_copy(n, clock, begin=begin)
+
     @abc.abstractmethod
     def record_datatype(self, kind: str, nblocks: int, nbytes: int,
                         clock: float, begin: Optional[float] = None) -> None:
@@ -273,17 +292,19 @@ class RankTrace(TraceBase):
     """Mutable per-rank event log.
 
     Only the owning rank's thread appends to a :class:`RankTrace`, so no
-    locking is needed.
+    locking is needed.  Copies live in three typed columns (24 bytes per
+    copy), every other kind in a list of typed events.
     """
 
-    __slots__ = ("sends", "recvs", "copies", "datatype_ops", "phases",
+    __slots__ = ("sends", "recvs", "_copies", "datatype_ops", "phases",
                  "collectives", "faults", "_phase_stack", "_coll_stack")
 
     def __init__(self, rank: int) -> None:
         super().__init__(rank)
         self.sends: List[SendEvent] = []
         self.recvs: List[RecvEvent] = []
-        self.copies: List[CopyEvent] = []
+        # Columns: nbytes, start, end.
+        self._copies = array("q"), array("d"), array("d")
         self.datatype_ops: List[DatatypeEvent] = []
         self.phases: List[PhaseEvent] = []
         self.collectives: List[CollectiveEvent] = []
@@ -302,7 +323,17 @@ class RankTrace(TraceBase):
 
     def record_copy(self, nbytes: int, clock: float,
                     begin: Optional[float] = None) -> None:
-        self.copies.append(CopyEvent(nbytes, clock, begin))
+        nbytes_col, start_col, end_col = self._copies
+        nbytes_col.append(nbytes)
+        start_col.append(clock if begin is None else begin)
+        end_col.append(clock)
+
+    def record_copies(self, nbytes: np.ndarray, clocks: np.ndarray) -> None:
+        clocks = np.asarray(clocks, dtype=np.float64)
+        nbytes_col, start_col, end_col = self._copies
+        nbytes_col.frombytes(np.asarray(nbytes, dtype=np.int64).tobytes())
+        start_col.frombytes(clocks[:-1].tobytes())
+        end_col.frombytes(clocks[1:].tobytes())
 
     def record_datatype(self, kind: str, nblocks: int, nbytes: int,
                         clock: float, begin: Optional[float] = None) -> None:
@@ -329,6 +360,18 @@ class RankTrace(TraceBase):
         self.collectives.append(CollectiveEvent(name, start, clock))
 
     # -- queries ---------------------------------------------------------
+    def copy_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every copy so far as ``(nbytes, start, end)`` arrays (int64,
+        float64, float64), in program order.  Snapshots, not views."""
+        nbytes, start, end = (np.array(column) for column in self._copies)
+        return nbytes, start, end
+
+    @property
+    def copies(self) -> List[CopyEvent]:
+        """The copies as typed events, built from the columns per call."""
+        return [CopyEvent(n, end, start)
+                for n, start, end in zip(*self._copies)]
+
     @property
     def bytes_sent(self) -> int:
         return sum(e.nbytes for e in self.sends)
@@ -339,7 +382,7 @@ class RankTrace(TraceBase):
 
     @property
     def bytes_copied(self) -> int:
-        return sum(e.nbytes for e in self.copies)
+        return sum(self._copies[0])
 
     @property
     def message_count(self) -> int:
@@ -379,7 +422,7 @@ class RankTrace(TraceBase):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RankTrace(rank={self.rank}, sends={len(self.sends)}, "
-                f"recvs={len(self.recvs)}, copies={len(self.copies)}, "
+                f"recvs={len(self.recvs)}, copies={len(self._copies[0])}, "
                 f"phases={len(self.phases)})")
 
 
@@ -399,6 +442,9 @@ class NullTrace(TraceBase):
         pass
 
     def record_copy(self, *args: object, **kwargs: object) -> None:
+        pass
+
+    def record_copies(self, *args: object, **kwargs: object) -> None:
         pass
 
     def record_datatype(self, *args: object, **kwargs: object) -> None:
@@ -461,6 +507,10 @@ class MetricsTrace(TraceBase):
                     begin: Optional[float] = None) -> None:
         self.copy_count += 1
         self.bytes_copied += nbytes
+
+    def record_copies(self, nbytes: np.ndarray, clocks: np.ndarray) -> None:
+        self.copy_count += len(nbytes)
+        self.bytes_copied += int(np.sum(nbytes))
 
     def record_datatype(self, kind: str, nblocks: int, nbytes: int,
                         clock: float, begin: Optional[float] = None) -> None:

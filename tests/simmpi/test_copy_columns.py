@@ -1,0 +1,210 @@
+"""Copies are a column store: recording, attribution and export must not
+depend on whether a copy arrived alone or as part of a run.
+
+``Communicator.charge_copies`` hands the tracer a whole run of copies as
+two arrays (``TraceBase.record_copies``); :class:`RankTrace` keeps them in
+typed columns, and ``critical_path`` / ``chrome_trace`` read the columns.
+Everything here pins that path against the per-copy one it replaced.
+"""
+
+import dataclasses
+import gc
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.registry import get_algorithm, list_algorithms
+from repro.simmpi import ExecutionConfig, THETA, chrome_trace, run_spmd
+from repro.simmpi import executor as executor_module
+from repro.simmpi.critical_path import _busy_length
+from repro.simmpi.trace_export import _slice
+from repro.simmpi.tracing import CopyEvent, MetricsTrace, RankTrace, TraceBase
+from repro.workloads import PowerLawBlocks, block_size_matrix, build_vargs
+
+clock = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+nbytes = st.integers(min_value=1, max_value=2 ** 40)
+single = st.tuples(nbytes, clock, st.none() | clock)
+run = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(nbytes, min_size=n, max_size=n),
+    st.lists(clock, min_size=n + 1, max_size=n + 1)))
+
+
+def _two_phase(nprocs, trace, name="two_phase_bruck", seed=3):
+    sizes = block_size_matrix(PowerLawBlocks(32), nprocs, seed=seed)
+    fn = get_algorithm(name, kind="nonuniform").fn
+
+    def program(comm):
+        fn(comm, *build_vargs(comm.rank, sizes, fill=False).as_tuple())
+
+    return run_spmd(program, nprocs, config=ExecutionConfig(
+        machine=THETA, trace=trace, backend="coop", wire="phantom"))
+
+
+# -- (a) one store, however the copies arrive ---------------------------
+
+@given(ops=st.lists(single | run, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_runs_and_single_copies_record_identically(ops):
+    by_run, by_copy = RankTrace(0), RankTrace(0)
+    for op in ops:
+        if len(op) == 3:
+            for tr in (by_run, by_copy):
+                tr.record_copy(op[0], op[1], begin=op[2])
+        else:
+            counts = np.array(op[0], dtype=np.int64)
+            clocks = np.array(op[1], dtype=np.float64)
+            by_run.record_copies(counts, clocks)
+            # The TraceBase default: one record_copy per copy.
+            TraceBase.record_copies(by_copy, counts, clocks)
+    assert by_run.copies == by_copy.copies
+    assert by_run.events() == by_copy.events()
+    assert by_run.bytes_copied == by_copy.bytes_copied
+    for ours, theirs in zip(by_run.copy_columns(), by_copy.copy_columns()):
+        assert ours.dtype == theirs.dtype
+        assert ours.tolist() == theirs.tolist()
+    n_copies = sum(1 if len(op) == 3 else len(op[0]) for op in ops)
+    assert len(by_run.copies) == n_copies
+    assert all(type(e) is CopyEvent for e in by_run.copies)
+
+
+def test_copy_without_begin_is_instantaneous():
+    tr = RankTrace(0)
+    tr.record_copy(8, 2.5)
+    (ev,) = tr.copies
+    assert (ev.nbytes, ev.start, ev.end, ev.duration) == (8, 2.5, 2.5, 0.0)
+
+
+def test_metrics_trace_folds_a_run():
+    tr = MetricsTrace(0)
+    tr.record_copy(5, 1.0)
+    tr.record_copies(np.array([3, 4], dtype=np.int64),
+                     np.array([1.0, 2.0, 3.0]))
+    assert (tr.copy_count, tr.bytes_copied) == (3, 12)
+    assert type(tr.bytes_copied) is int
+
+
+# -- (b) the busy-interval union ------------------------------------------
+
+def _union_length_reference(intervals):
+    """The per-object loop ``critical_path`` used before the columns."""
+    if not intervals:
+        return 0.0
+    ivs = sorted(intervals)
+    total = 0.0
+    cur_s, cur_e = ivs[0]
+    for s, e in ivs[1:]:
+        if s > cur_e:
+            total += cur_e - cur_s
+            cur_s, cur_e = s, e
+        elif e > cur_e:
+            cur_e = e
+    return total + (cur_e - cur_s)
+
+
+# A coarse grid makes duplicates, nesting and touching ends common; the
+# free floats exercise the rounding of the fold.
+grid = st.integers(0, 12).map(lambda k: k * 0.1)
+interval = st.one_of(
+    st.tuples(grid, grid).map(lambda ab: (min(ab), max(ab))),
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 3.0)).map(
+        lambda sl: (sl[0], sl[0] + sl[1])))
+
+
+@given(intervals=st.lists(interval, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_busy_length_is_bitwise_the_sequential_loop(intervals):
+    start = np.array([s for s, _ in intervals], dtype=np.float64)
+    end = np.array([e for _, e in intervals], dtype=np.float64)
+    got = _busy_length(start, end)
+    assert type(got) is float
+    assert got.hex() == _union_length_reference(intervals).hex()
+
+
+# -- (c) real runs: columns vs the same traces recorded copy by copy ------
+
+def _replayed_per_copy(result):
+    """``result`` with every rank's copies re-recorded one at a time."""
+    traces = []
+    for tr in result.traces:
+        twin = RankTrace(tr.rank)
+        for name in ("sends", "recvs", "datatype_ops", "phases",
+                     "collectives", "faults"):
+            setattr(twin, name, getattr(tr, name))
+        for ev in tr.copies:
+            twin.record_copy(ev.nbytes, ev.clock, begin=ev.begin)
+        traces.append(twin)
+    return dataclasses.replace(result, traces=traces)
+
+
+@pytest.mark.parametrize("nprocs", [5, 16])
+@pytest.mark.parametrize("name", list_algorithms("nonuniform"))
+def test_document_and_path_equal_per_copy_replay(name, nprocs):
+    result = _two_phase(nprocs, "full", name=name, seed=nprocs)
+    replay = _replayed_per_copy(result)
+    assert chrome_trace(result, critical_path=True) == \
+        chrome_trace(replay, critical_path=True)
+    ours, theirs = result.critical_path(), replay.critical_path()
+    assert ours.per_rank == theirs.per_rank
+    assert ours.path == theirs.path
+    # The elementwise timestamps are the scalar _slice() arithmetic, and
+    # the keys come in _slice()'s order (the serialised bytes depend on it).
+    slices = [ev for ev in chrome_trace(result)["traceEvents"]
+              if ev["name"] == "copy"]
+    assert json.dumps(slices) == json.dumps([
+        _slice("copy", "memory", tr.rank, e.start, e.end,
+               {"nbytes": e.nbytes})
+        for tr in result.traces for e in tr.copies])
+
+
+# -- (d) tracers that predate record_copies -------------------------------
+
+class _HooksOnlyTrace(TraceBase):
+    """A third-party tracer: the abstract hooks and nothing else."""
+
+    def __init__(self, rank):
+        super().__init__(rank)
+        self.seen = []
+
+    def record_copy(self, nbytes, clock, begin=None):
+        self.seen.append((nbytes, begin, clock))
+
+    def record_send(self, *args, **kwargs):
+        pass
+
+    record_recv = record_datatype = record_send
+    phase_begin = phase_end = record_send
+    collective_begin = collective_end = record_send
+
+
+def test_hooks_only_tracer_sees_every_copy(monkeypatch):
+    reference = _two_phase(8, "events")
+    monkeypatch.setattr(executor_module, "RankTrace", _HooksOnlyTrace)
+    third_party = _two_phase(8, "events")
+    assert third_party.clocks == reference.clocks
+    for theirs, ours in zip(third_party.traces, reference.traces):
+        assert theirs.seen
+        assert theirs.seen == [(e.nbytes, e.begin, e.clock)
+                               for e in ours.copies]
+        assert all(type(n) is int and type(c) is float
+                   for n, _, c in theirs.seen)
+
+
+# -- memory tripwire --------------------------------------------------------
+
+def test_event_traces_retain_columns_not_objects():
+    """505 223 copies at P=256: ~15 MiB as three 8-byte columns, ~65 MiB
+    as one object per copy.  Counted, not timed, so it bites on any host."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = _two_phase(256, "events")
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 24 * 2 ** 20, f"{retained / 2 ** 20:.1f} MiB retained"
+    assert sum(len(tr.copy_columns()[0]) for tr in result.traces) > 500_000

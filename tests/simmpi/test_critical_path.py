@@ -26,10 +26,11 @@ NPROCS = 16
 FAULT_SPEC = "delay:d=30us,jitter=15us,p=0.6;straggler:ranks=2,factor=3"
 
 
-def _run(backend, trace, fault_plan=None, nprocs=NPROCS, name="two_phase_bruck"):
+def _run(backend, trace, fault_plan=None, nprocs=NPROCS,
+         name="two_phase_bruck", machine=THETA):
     sizes = block_size_matrix(distribution_by_name("power_law", 32),
                               nprocs, seed=7)
-    cfg = ExecutionConfig(backend=backend, machine=THETA, trace=trace,
+    cfg = ExecutionConfig(backend=backend, machine=machine, trace=trace,
                           timeout=300, wire="phantom",
                           fault_plan=fault_plan, fault_seed=23)
     return run_spmd(TensorAlltoallv(name, sizes), nprocs, config=cfg)
@@ -81,6 +82,34 @@ def test_faulted_attribution(backend, trace):
     for attr in cp.per_rank:
         if attr.rank != 2:
             assert attr.fault_delay == 0.0  # clean ranks pay none
+
+
+@pytest.mark.parametrize("ppn", [1, 4])
+@pytest.mark.parametrize("fault_plan", [None, FAULT_SPEC])
+def test_per_receive_buckets_equal_the_scalar_loop(ppn, fault_plan):
+    """The per-receive charges are evaluated over columns; the scalar
+    loop they replaced stays here as the reference — bitwise."""
+    machine = THETA.with_overrides(ppn=ppn)
+    result = _run("coop", "events", fault_plan=fault_plan, machine=machine)
+    plan = result.config.fault_plan
+    for attr, tr in zip(result.critical_path().per_rank, result.traces):
+        s = plan.straggle_factor(tr.rank) if plan is not None else 1.0
+        o_recv = transmit = congestion = fault_delay = 0.0
+        for e in tr.recvs:
+            intra = machine.is_intra(e.src, e.dst)
+            o_recv += (machine.o_recv_intra if intra
+                       else machine.o_recv) * s
+            serial = machine.serial_time(e.nbytes, result.nprocs, intra)
+            uncong = machine.serial_time(e.nbytes, 1, intra)
+            transmit += uncong
+            congestion += serial - uncong
+            if s != 1.0:
+                fault_delay += e.duration - serial
+        overhead = math.fsum(e.duration for e in tr.sends) + o_recv
+        got = (attr.overhead, attr.transmit, attr.congestion,
+               attr.fault_delay)
+        want = (overhead, transmit, congestion, fault_delay)
+        assert [x.hex() for x in got] == [x.hex() for x in want], tr.rank
 
 
 def test_bucket_totals_and_format():

@@ -1,12 +1,14 @@
 """Round-trip tests of the Chrome/Perfetto trace-event export."""
 
+import gc
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.nonuniform import alltoallv
-from repro.simmpi import LOCAL, chrome_trace, format_summary, run_spmd
+from repro.simmpi import (LOCAL, chrome_trace, format_summary, run_spmd,
+                          trace_export)
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
 
 P = 5
@@ -20,6 +22,10 @@ def _two_phase_result(trace=True):
         alltoallv(comm, *vargs.as_tuple(), algorithm="two_phase_bruck")
 
     return run_spmd(prog, P, machine=LOCAL, trace=trace)
+
+
+def _raise_runtime_error(*_args, **_kwargs):
+    raise RuntimeError("export failed part-way")
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +98,30 @@ class TestChromeTrace:
         path = tmp_path / "trace.json"
         doc = result.export_chrome_trace(str(path))
         assert json.loads(path.read_text()) == json.loads(json.dumps(doc))
+
+    def test_file_is_the_compact_dump_of_the_document(self, result,
+                                                      tmp_path):
+        path = tmp_path / "trace.json"
+        doc = result.export_chrome_trace(str(path), critical_path=True)
+        assert path.read_text(encoding="utf-8") == \
+            json.dumps(doc, separators=(",", ":"))
+
+    def test_collector_left_as_the_caller_had_it(self, result, monkeypatch):
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                chrome_trace(result)
+                assert gc.isenabled() is enabled
+                # ... including when the build raises part-way.
+                with monkeypatch.context() as patch:
+                    patch.setattr(trace_export, "_fabric_counter_events",
+                                  _raise_runtime_error)
+                    with pytest.raises(RuntimeError):
+                        chrome_trace(result)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     def test_requires_event_traces(self):
         res = _two_phase_result(trace="metrics")

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,30 @@ class TestCommands:
 
     def test_trace_rejects_huge_p(self, capsys):
         assert main(["trace", "-p", "100000"]) == 2
+
+    def test_trace_out_capped_at_256_ranks(self, capsys, tmp_path):
+        # The exported document is what grows with P, not the recording.
+        out_path = tmp_path / "trace.json"
+        assert main(["trace", "-p", "257", "-n", "8", "--machine", "local",
+                     "--backend", "coop", "--out", str(out_path)]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_trace_events_without_out_above_256_ranks(self, capsys):
+        assert main(["trace", "-p", "257", "-n", "8", "--machine", "local",
+                     "--backend", "coop", "--level", "events",
+                     "--critical-path"]) == 0
+        out = capsys.readouterr().out
+        makespan = re.search(r"simulated makespan ([\d.]+) ms", out)
+        path_end = re.search(r"ending on rank \d+ at ([\d.]+) ms "
+                             r"\(events granularity\)", out)
+        assert makespan and path_end
+        assert path_end.group(1) == makespan.group(1)
+
+    def test_trace_events_capped_at_1024_ranks(self, capsys):
+        assert main(["trace", "-p", "1025", "--backend", "coop",
+                     "--level", "events"]) == 2
+        assert "--level metrics" in capsys.readouterr().err
 
 
 class TestBackendSelection:
