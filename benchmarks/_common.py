@@ -27,7 +27,6 @@ from repro.simmpi import (ExecutionConfig, MACHINE_MODEL_VERSION, THETA,
 from repro.workloads import build_vargs
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 def save_report(name: str, text: str, data=None) -> None:
@@ -37,11 +36,11 @@ def save_report(name: str, text: str, data=None) -> None:
     artifact can be matched against the cost model that produced it.
 
     When ``data`` (any JSON-able value) is given, the same report is
-    additionally emitted machine-readably: a sibling
-    ``benchmarks/results/<name>.json`` and a repo-root
-    ``BENCH_<name>.json`` — the committed perf-trajectory artifacts.
-    Both carry the machine-model version inside the document, so a
-    trend-line consumer can drop records that predate a recalibration.
+    additionally emitted machine-readably as a sibling
+    ``benchmarks/results/<name>.json`` — the committed perf-trajectory
+    artifact.  It carries the machine-model version inside the document,
+    so a trend-line consumer can drop records that predate a
+    recalibration.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
@@ -51,9 +50,8 @@ def save_report(name: str, text: str, data=None) -> None:
         doc = {"name": name,
                "machine_model_version": MACHINE_MODEL_VERSION,
                "data": data}
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        (RESULTS_DIR / f"{name}.json").write_text(payload)
-        (REPO_ROOT / f"BENCH_{name}.json").write_text(payload)
+        (RESULTS_DIR / f"{name}.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
     # Also echo for -s runs.
     print(f"\n[{name}] written to {path}\n{text}")
 

@@ -12,7 +12,8 @@ Run:  python examples/custom_machine.py
 
 import numpy as np
 
-from repro import MachineProfile, alltoallv, predict_alltoallv, run_spmd
+from repro import (ExecutionConfig, MachineProfile, alltoallv,
+                   predict_alltoallv, run_spmd)
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
 
 MY_CLUSTER = MachineProfile(
@@ -42,7 +43,8 @@ def main():
     def prog(comm):
         args = build_vargs(comm.rank, sizes)
         alltoallv(comm, *args.as_tuple(), algorithm="two_phase_bruck")
-    functional = run_spmd(prog, p, machine=MY_CLUSTER).elapsed
+    functional = run_spmd(prog, p,
+                          config=ExecutionConfig(machine=MY_CLUSTER)).elapsed
     analytic = predict_alltoallv("two_phase_bruck", MY_CLUSTER, p, dist,
                                  seed=seed, mode="exact").elapsed
     print(f"\nengine agreement at P={p}: functional "

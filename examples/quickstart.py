@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import THETA, alltoallv, run_spmd
+from repro import THETA, ExecutionConfig, alltoallv, run_spmd
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs, verify_recv
 
 NPROCS = 64
@@ -39,7 +39,8 @@ def main():
 
     times = {}
     for algorithm in ("vendor", "two_phase_bruck", "padded_bruck"):
-        result = run_spmd(exchange, NPROCS, machine=THETA,
+        result = run_spmd(exchange, NPROCS,
+                          config=ExecutionConfig(machine=THETA),
                           args=(algorithm,))
         times[algorithm] = max(result.returns)  # slowest rank's comm time
         print(f"{algorithm:>18}: {times[algorithm] * 1e6:9.1f} us "

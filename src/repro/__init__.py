@@ -18,7 +18,7 @@ Layers (see README.md / DESIGN.md):
 Quick start::
 
     import numpy as np
-    from repro import run_spmd, alltoallv, THETA
+    from repro import ExecutionConfig, run_spmd, alltoallv, THETA
 
     def program(comm):
         p, r = comm.size, comm.rank
@@ -32,7 +32,7 @@ Quick start::
                   recvbuf, recvcounts, rdispls,
                   algorithm="two_phase_bruck")
 
-    run_spmd(program, nprocs=16, machine=THETA)
+    run_spmd(program, nprocs=16, config=ExecutionConfig(machine=THETA))
 """
 
 from .core import (
@@ -59,6 +59,7 @@ from .simmpi import (
     STAMPEDE2,
     THETA,
     Communicator,
+    ExecutionConfig,
     MachineProfile,
     SPMDResult,
     get_profile,
@@ -71,6 +72,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "run_spmd",
+    "ExecutionConfig",
     "SPMDResult",
     "Communicator",
     "MachineProfile",
@@ -98,22 +100,3 @@ __all__ = [
     "predict_alltoallv",
     "predict_uniform",
 ]
-
-
-def __getattr__(name: str):
-    # One-release compatibility stubs for the removed alias dicts; warn
-    # here (not via repro.core's stub — the extra delegation frame would
-    # make stacklevel=2 point inside the library, not at the caller).
-    if name in ("UNIFORM_ALGORITHMS", "NONUNIFORM_ALGORITHMS"):
-        import warnings
-
-        kind = "uniform" if name == "UNIFORM_ALGORITHMS" else "nonuniform"
-        warnings.warn(
-            f"{name} is deprecated; use repro.core.registry."
-            f"list_algorithms({kind!r}) / get_algorithm(name, {kind!r}) "
-            "instead", DeprecationWarning, stacklevel=2)
-        from .core.registry import deprecated_alias_dict
-
-        return deprecated_alias_dict(kind)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,7 @@ from typing import Dict, List, Set, Tuple
 from ...bpra.fixpoint import FixpointResult, run_fixpoint
 from ...bpra.relation import LocalRelation, hash_owner
 from ...simmpi.communicator import Communicator
-from ...simmpi.executor import run_spmd
+from ...simmpi.executor import ExecutionConfig, run_spmd
 from ...simmpi.machine import LOCAL, MachineProfile
 from .syntax import MAX_LABEL, Lam, Program, pack_contour, push_contour
 
@@ -193,7 +193,8 @@ def run_kcfa(program: Program, k: int, nprocs: int, *,
     result = run_spmd(
         lambda comm: kcfa_rank(comm, program, k, algorithm=algorithm,
                                entries=entries),
-        nprocs, machine=machine, trace=False, timeout=timeout)
+        nprocs, config=ExecutionConfig(machine=machine, trace=False,
+                                       timeout=timeout))
     fixpoints: List[FixpointResult] = result.returns
     iterations = fixpoints[0].iterations
     per_iteration: List[Dict] = []

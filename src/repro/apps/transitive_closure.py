@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..bpra.fixpoint import FixpointResult, IterationRecord, run_fixpoint
 from ..bpra.relation import LocalRelation, hash_owner
 from ..simmpi.communicator import Communicator
-from ..simmpi.executor import run_spmd
+from ..simmpi.executor import ExecutionConfig, run_spmd
 from ..simmpi.machine import LOCAL, MachineProfile
 
 __all__ = ["TCResult", "transitive_closure_rank", "run_transitive_closure"]
@@ -96,7 +96,8 @@ def run_transitive_closure(edges: Sequence[Edge], nprocs: int, *,
     result = run_spmd(
         lambda comm: transitive_closure_rank(comm, edges,
                                              algorithm=algorithm),
-        nprocs, machine=machine, trace=False, timeout=timeout)
+        nprocs, config=ExecutionConfig(machine=machine, trace=False,
+                                       timeout=timeout))
     fixpoints: List[FixpointResult] = result.returns
     iterations = fixpoints[0].iterations
     if any(f.iterations != iterations for f in fixpoints):

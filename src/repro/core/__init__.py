@@ -100,24 +100,3 @@ __all__ = [
     "TunerDecision",
     "block_band",
 ]
-
-
-def __getattr__(name: str):
-    # One-release compatibility stubs for the removed alias dicts.  The
-    # warning is emitted *here* rather than by delegating to the
-    # implementation packages' stubs: each delegation hop adds a stack
-    # frame, which would make ``stacklevel=2`` point inside the library
-    # instead of at the caller's attribute access.
-    if name in ("UNIFORM_ALGORITHMS", "NONUNIFORM_ALGORITHMS"):
-        import warnings
-
-        kind = "uniform" if name == "UNIFORM_ALGORITHMS" else "nonuniform"
-        warnings.warn(
-            f"{name} is deprecated; use repro.core.registry."
-            f"list_algorithms({kind!r}) / get_algorithm(name, {kind!r}) "
-            "instead", DeprecationWarning, stacklevel=2)
-        from .registry import deprecated_alias_dict
-
-        return deprecated_alias_dict(kind)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

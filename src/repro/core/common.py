@@ -4,8 +4,8 @@ The index arithmetic here is the substance of the paper's Section 2/3: which
 blocks move in which communication step, and how slots map to sources and
 destinations.  Centralizing it keeps the six uniform variants and the two
 non-uniform algorithms from re-deriving (and re-bugging) the same bit
-tricks, and lets :mod:`repro.schedule` reuse the identical definitions so
-the analytic schedules provably match the functional implementations.
+tricks, and lets the analytic predictors and the tensor evaluators read
+the identical definitions.
 
 Bruck index conventions used throughout (see DESIGN.md):
 

@@ -64,24 +64,6 @@ for _name, _fn, _desc, _radix in (
     register_algorithm(_name, "nonuniform", _fn, _desc,
                        supports_radix=_radix)
 
-def __getattr__(name: str):
-    # One-release compatibility stub for the removed alias dict; use
-    # ``list_algorithms("nonuniform")`` / ``get_algorithm(name,
-    # "nonuniform")``.
-    if name == "NONUNIFORM_ALGORITHMS":
-        import warnings
-
-        warnings.warn(
-            "NONUNIFORM_ALGORITHMS is deprecated; use "
-            "repro.core.registry.list_algorithms('nonuniform') / "
-            "get_algorithm(name, 'nonuniform') instead",
-            DeprecationWarning, stacklevel=2)
-        from ..registry import deprecated_alias_dict
-
-        return deprecated_alias_dict("nonuniform")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 def alltoallv(comm: Communicator, sendbuf: np.ndarray,
               sendcounts: Sequence[int], sdispls: Sequence[int],

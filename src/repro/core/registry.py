@@ -15,10 +15,6 @@ level.
 ``"vendor"`` is registered here directly for both kinds: it stands in for
 the MPI library's own ``MPI_Alltoall(v)`` and routes to the communicator's
 builtin (spread-out) collectives.
-
-The legacy ``UNIFORM_ALGORITHMS`` / ``NONUNIFORM_ALGORITHMS`` alias dicts
-are gone; one-release compatibility stubs in the implementation packages
-rebuild them on access and emit a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -134,19 +130,6 @@ def radix_algorithms(kind: Optional[str] = None) -> List[str]:
     names = {n for (k, n), a in _REGISTRY.items()
              if a.supports_radix and (kind is None or k == kind)}
     return sorted(names)
-
-
-def deprecated_alias_dict(kind: str) -> Dict[str, Callable[..., None]]:
-    """Registry-backed body of the removed ``*_ALGORITHMS`` alias dicts.
-
-    Used only by the one-release compatibility stubs (module
-    ``__getattr__`` hooks); each stub emits its own DeprecationWarning
-    with ``stacklevel=2`` so the warning points at the *caller's* access,
-    then returns this dict.  Excludes the vendor stand-in, matching the
-    removed dicts.
-    """
-    return {n: get_algorithm(n, kind).fn
-            for n in list_algorithms(kind) if n != "vendor"}
 
 
 # ----------------------------------------------------------------------

@@ -54,23 +54,6 @@ for _name, _fn, _desc, _radix in (
 ):
     register_algorithm(_name, "uniform", _fn, _desc, supports_radix=_radix)
 
-def __getattr__(name: str):
-    # One-release compatibility stub for the removed alias dict; use
-    # ``list_algorithms("uniform")`` / ``get_algorithm(name, "uniform")``.
-    if name == "UNIFORM_ALGORITHMS":
-        import warnings
-
-        warnings.warn(
-            "UNIFORM_ALGORITHMS is deprecated; use "
-            "repro.core.registry.list_algorithms('uniform') / "
-            "get_algorithm(name, 'uniform') instead",
-            DeprecationWarning, stacklevel=2)
-        from ..registry import deprecated_alias_dict
-
-        return deprecated_alias_dict("uniform")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 def alltoall(comm: Communicator, sendbuf: np.ndarray, recvbuf: np.ndarray,
              block_nbytes: int, *, algorithm: str = "zero_rotation_bruck",

@@ -1,10 +1,8 @@
 """The typed execution configuration for :func:`repro.simmpi.run_spmd`.
 
-``run_spmd`` grew one keyword at a time — machine, trace, timeout,
-backend, wire, fault plan, fault seed, failure policy, reliability — until
-every caller threaded nine loose kwargs through every layer.
-:class:`ExecutionConfig` replaces that surface with one frozen, validated
-value object:
+Everything about how a run executes — machine, trace, timeout, backend,
+wire, fault plan, fault seed, failure policy, reliability — is one frozen,
+validated value object:
 
 * **validated at construction** — unknown backend/wire/on_fault/trace
   strings raise ``ValueError`` naming the valid set *before* any rank
@@ -17,9 +15,6 @@ value object:
   what the run did;
 * **hashable/frozen** — a config can key a result cache or be compared
   across runs.
-
-The legacy ``run_spmd(fn, n, machine=..., backend=...)`` kwargs keep
-working through a deprecation shim that forwards into a config.
 """
 
 from __future__ import annotations
@@ -68,29 +63,43 @@ def _resolve_trace_mode(trace: Union[bool, str, None]) -> str:
 class ExecutionConfig:
     """Everything about *how* an SPMD run executes (not *what* it runs).
 
-    Parameters mirror the documented semantics of :func:`run_spmd`:
-
+    Parameters
+    ----------
     machine:
         Cost-model profile (default: the forgiving ``LOCAL`` profile).
     trace:
-        Observability mode: ``True``/``"full"``, ``"events"``,
-        ``"metrics"``, or ``False``/``None``/``"off"``.  Stored
-        normalized to one of :data:`TRACE_MODES`.
+        Observability mode: ``True``/``"full"`` (per-rank event traces
+        and aggregate metrics), ``"events"``, ``"metrics"``
+        (``result.traces`` is ``None``), or ``False``/``None``/``"off"``
+        (for big sweeps).  Stored normalized to one of
+        :data:`TRACE_MODES`.
     timeout:
         Thread-backend watchdog in wall-clock seconds (shared by the
-        whole job).  The coop and tensor backends ignore it.
+        whole job); a blocked job raises :class:`DeadlockError`.  The
+        coop backend detects a stuck job exactly, with no timeout, and
+        the tensor backend cannot block.
     backend:
         One of :data:`BACKENDS`.
     wire:
-        One of :data:`WIRE_MODES` (``"bytes"`` or ``"phantom"``).
+        One of :data:`WIRE_MODES`.  ``"bytes"`` moves real data;
+        ``"phantom"`` sends only message *sizes*, so clocks are
+        bit-identical (every cost rule is a function of size alone) but
+        receive buffers are never written.
     fault_plan:
         A :class:`~repro.simmpi.faults.FaultPlan`, its ``--faults`` spec
         string (parsed here), or ``None`` for a clean fabric.
     fault_seed:
-        Seed of the fault engine's per-message RNG.
+        Seed of the fault engine's per-message RNG.  Same ``(plan,
+        seed)`` ⇒ bit-identical clocks, message counts and fault
+        sequences on every backend and wire.
     on_fault:
-        One of :data:`ON_FAULT_POLICIES`.  ``"retry"`` resolves the
-        implied default :class:`ReliabilityConfig` at construction.
+        One of :data:`ON_FAULT_POLICIES`.  ``"fail-fast"``: an injected
+        crash or unrecovered fault tears the job down with a typed
+        error.  ``"retry"``: acked delivery with retransmission (resolves
+        the implied default :class:`ReliabilityConfig` at construction);
+        exhausted retries raise :class:`MessageLostError`.  ``"degrade"``:
+        a crashed rank is excised, survivors read its contributions as
+        empty, and the result lists it in ``degraded_ranks``.
     reliability:
         A :class:`ReliabilityConfig`, ``"retry"`` (the defaults),
         ``"verify"`` (the defaults plus end-to-end integrity checks),

@@ -5,16 +5,9 @@
 :class:`SPMDResult` with per-rank return values, per-rank simulated clocks,
 and (optionally) per-rank event traces.
 
-Two execution backends share identical semantics and bit-identical
-simulated clocks:
-
-* ``backend="threads"`` (default) — one OS thread per rank against the
-  locking :class:`Network`; practical up to a few hundred ranks.
-* ``backend="coop"`` — the deterministic cooperative scheduler
-  (:mod:`repro.simmpi.scheduler`): a single-runner event loop switching
-  ranks at communication points, ordered by simulated clock.  No lock
-  contention, exact (immediate) deadlock detection, practical to
-  thousands of ranks.
+How a run executes — machine, backend, wire, trace mode, faults — is one
+:class:`~repro.simmpi.config.ExecutionConfig`; every backend produces
+bit-identical simulated clocks.
 
 Failure semantics: if any rank raises, the network is aborted so blocked
 peers wake with :class:`RankFailedError` (and further sends fail the same
@@ -32,17 +25,16 @@ backends.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .communicator import Communicator
 from .config import (BACKENDS, ON_FAULT_POLICIES, TRACE_MODES,
                      ExecutionConfig)
 from .errors import (CommAbortedError, DeadlockError, InjectedCrashError,
                      RankFailedError, SimMPIError)
-from .faults import FaultInjector, FaultPlan, ReliabilityConfig
+from .faults import FaultInjector
 from .machine import MachineProfile
 from .metrics import MetricsRegistry, RunMetrics
 from .network import WIRE_MODES, Network
@@ -51,11 +43,6 @@ from .tracing import MetricsTrace, NullTrace, RankTrace, TraceBase
 
 __all__ = ["run_spmd", "SPMDResult", "ExecutionConfig", "TRACE_MODES",
            "BACKENDS", "WIRE_MODES", "ON_FAULT_POLICIES"]
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: deprecation shim can detect legacy keyword use and reject mixing it
-#: with ``config=``.
-_UNSET: Any = object()
 
 
 @dataclass
@@ -170,23 +157,8 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *,
              config: Optional[ExecutionConfig] = None,
              args: Sequence[Any] = (),
              rank_args: Optional[Sequence[Sequence[Any]]] = None,
-             machine: MachineProfile = _UNSET,
-             trace: Union[bool, str, None] = _UNSET,
-             timeout: float = _UNSET,
-             backend: str = _UNSET,
-             wire: str = _UNSET,
-             fault_plan: Union[FaultPlan, str, None] = _UNSET,
-             fault_seed: int = _UNSET,
-             on_fault: str = _UNSET,
-             reliability: Union[ReliabilityConfig, str, None] = _UNSET,
              ) -> SPMDResult:
     """Execute ``fn(comm, *args)`` on ``nprocs`` simulated ranks.
-
-    The primary signature is ``run_spmd(fn, nprocs, config=ExecutionConfig
-    (...))``: one validated value object describes how the run executes.
-    The loose keyword arguments below (``machine``, ``trace``, ...) are the
-    legacy surface — they keep working through a deprecation shim that
-    forwards them into a config, but cannot be mixed with ``config=``.
 
     Parameters
     ----------
@@ -201,55 +173,9 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *,
         a few hundred; ``backend="coop"`` scales to thousands;
         ``backend="tensor"`` to the paper's 32K.
     config:
-        An :class:`ExecutionConfig`; mutually exclusive with the legacy
-        keywords below.
-    machine:
-        Cost-model profile; defaults to the forgiving ``LOCAL`` profile.
-    trace:
-        Observability mode.  ``True`` (the default) records per-rank event
-        traces *and* aggregate metrics; ``False``/``None`` disables both
-        (for big sweeps).  The string forms select one channel:
-        ``"events"`` (per-event traces only), ``"metrics"`` (aggregate
-        counters only — ``result.traces`` is ``None`` but
-        ``result.metrics`` is populated), or ``"full"`` (same as
-        ``True``).
-    timeout:
-        Watchdog in wall-clock seconds for the thread backend; a blocked
-        job raises :class:`DeadlockError`.  The deadline is shared by the
-        whole job, not per rank.  The coop backend ignores it — a stuck
-        job is detected exactly, the instant no rank can progress.
-    backend:
-        ``"threads"`` (default) or ``"coop"``; see the module docstring.
-        Both produce bit-identical simulated clocks.
-    wire:
-        Payload transport mode.  ``"bytes"`` (default) moves real data, so
-        receive buffers hold byte-exact results.  ``"phantom"`` sends only
-        message *sizes* for data-plane traffic: simulated clocks are
-        bit-identical to bytes mode (every cost rule is a function of size
-        alone) but receive buffers are never written — use it for timing
-        sweeps where data correctness is already covered by tests.
-    fault_plan:
-        A :class:`~repro.simmpi.faults.FaultPlan` (or its ``--faults``
-        spec string) to inject on the fabric.  ``None`` (default) keeps
-        the fabric clean.  Same ``(plan, fault_seed)`` ⇒ bit-identical
-        clocks, message counts and fault sequences on every backend/wire.
-    fault_seed:
-        Seed of the fault engine's per-message RNG.
-    on_fault:
-        Failure policy.  ``"fail-fast"`` (default): any injected crash or
-        unrecovered fault tears the job down with a typed error.
-        ``"retry"``: enable the reliability transport (acked delivery,
-        retransmission with exponential backoff, duplicate suppression,
-        in-order reassembly); messages whose retries are exhausted raise
-        :class:`~repro.simmpi.errors.MessageLostError`.  ``"degrade"``:
-        an injected rank crash excises the rank instead of aborting —
-        survivors read its contributions as empty and the result carries
-        :attr:`SPMDResult.degraded_ranks`.
-    reliability:
-        Explicit reliability transport config: a
-        :class:`~repro.simmpi.faults.ReliabilityConfig`, ``"retry"`` (the
-        defaults), or ``"none"``/``None``.  ``on_fault="retry"`` implies
-        the default config when this is unset.
+        The :class:`ExecutionConfig` describing how the run executes —
+        machine, trace mode, backend, wire, faults; ``None`` means
+        ``ExecutionConfig()``.
 
     Returns
     -------
@@ -262,28 +188,10 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *,
             f"rank_args must have one entry per rank "
             f"({nprocs}), got {len(rank_args)}"
         )
-    legacy = {name: value for name, value in (
-        ("machine", machine), ("trace", trace), ("timeout", timeout),
-        ("backend", backend), ("wire", wire), ("fault_plan", fault_plan),
-        ("fault_seed", fault_seed), ("on_fault", on_fault),
-        ("reliability", reliability)) if value is not _UNSET}
-    if config is not None:
-        if legacy:
-            raise ValueError(
-                f"pass either config= or the legacy keyword(s) "
-                f"{sorted(legacy)} — not both")
-        if not isinstance(config, ExecutionConfig):
-            raise ValueError(
-                f"config must be an ExecutionConfig, got {config!r}")
-        cfg = config
-    elif legacy:
-        warnings.warn(
-            "passing machine/trace/timeout/backend/wire/fault_* keywords to "
-            "run_spmd is deprecated; build an ExecutionConfig and pass "
-            "config=", DeprecationWarning, stacklevel=2)
-        cfg = ExecutionConfig(**legacy)
-    else:
-        cfg = ExecutionConfig()
+    cfg = ExecutionConfig() if config is None else config
+    if not isinstance(cfg, ExecutionConfig):
+        raise ValueError(
+            f"config must be an ExecutionConfig, got {config!r}")
 
     if cfg.backend == "tensor":
         from .tensor import run_tensor

@@ -10,9 +10,8 @@ invocations.
 
 Traces serve four purposes in this repository:
 
-1. **Cross-validation** — integration tests assert that the analytic
-   schedules in :mod:`repro.schedule` predict exactly the message sequence
-   the functional algorithms emit.
+1. **Cross-validation** — tests assert each kernel's message sequence
+   (:meth:`RankTrace.messages`) against its substep pattern.
 2. **Phase breakdowns** — the Fig. 2b benchmark reports per-phase times
    straight from phase events.
 3. **Timeline export** — :mod:`repro.simmpi.trace_export` renders traces

@@ -10,7 +10,7 @@ from repro.bpra import (
     hash_owner,
     run_fixpoint,
 )
-from repro.simmpi import LOCAL, THETA, run_spmd
+from repro.simmpi import LOCAL, THETA, ExecutionConfig, run_spmd
 
 
 class TestHashOwner:
@@ -94,7 +94,7 @@ class TestExchangeTuples:
             assert stats.received_tuples == p
             assert stats.comm_seconds > 0
             return stats.max_block_bytes
-        res = run_spmd(prog, p, machine=THETA)
+        res = run_spmd(prog, p, config=ExecutionConfig(machine=THETA))
         # one 3-tuple of int64 per destination: N = 24 everywhere
         assert set(res.returns) == {24}
 

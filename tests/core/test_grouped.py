@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.nonuniform.grouped import grouped_alltoallv
-from repro.simmpi import LOCAL, THETA, run_spmd
+from repro.simmpi import LOCAL, THETA, ExecutionConfig, run_spmd
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs, verify_recv
 
 
@@ -13,7 +13,8 @@ def run(sizes, group_size, machine=LOCAL, trace=False):
         args = build_vargs(comm.rank, sizes)
         grouped_alltoallv(comm, *args.as_tuple(), group_size=group_size)
         verify_recv(comm.rank, sizes, args.recvbuf)
-    return run_spmd(prog, sizes.shape[0], machine=machine, trace=trace)
+    return run_spmd(prog, sizes.shape[0],
+                    config=ExecutionConfig(machine=machine, trace=trace))
 
 
 class TestCorrectness:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.nonuniform import alltoallv
 from repro.core.registry import list_algorithms
 from repro.core.uniform import alltoall
-from repro.simmpi import LOCAL, run_spmd
+from repro.simmpi import LOCAL, ExecutionConfig, run_spmd
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
 
 
@@ -27,7 +27,8 @@ def gather_uniform_recv(algorithm, p, n, seed):
         recv = np.zeros(p * n, dtype=np.uint8)
         alltoall(comm, send, recv, n, algorithm=algorithm)
         return recv
-    return run_spmd(prog, p, machine=LOCAL, trace=False).returns
+    return run_spmd(prog, p,
+                    config=ExecutionConfig(machine=LOCAL, trace=False)).returns
 
 
 def gather_nonuniform_recv(algorithm, sizes, seed):
@@ -41,7 +42,8 @@ def gather_nonuniform_recv(algorithm, sizes, seed):
             0, 256, size=args.sendbuf.size).astype(np.uint8)
         alltoallv(comm, *args.as_tuple(), algorithm=algorithm)
         return args.recvbuf
-    return run_spmd(prog, p, machine=LOCAL, trace=False).returns
+    return run_spmd(prog, p,
+                    config=ExecutionConfig(machine=LOCAL, trace=False)).returns
 
 
 class TestUniformAgreement:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.common import bruck_substeps
 from repro.core.nonuniform import alltoallv
-from repro.core.registry import list_algorithms
-from repro.simmpi import LOCAL, THETA, run_spmd
+from repro.core.registry import get_algorithm, list_algorithms
+from repro.simmpi import (LOCAL, MAX_USER_TAG, THETA, ExecutionConfig,
+                          run_spmd)
 from repro.workloads import (
     NormalBlocks,
     PowerLawBlocks,
@@ -21,12 +23,13 @@ from repro.workloads import (
 from ..conftest import SMALL_PROCS
 
 ALGORITHMS = list_algorithms("nonuniform")
+ON_LOCAL = ExecutionConfig(machine=LOCAL)
 
 
-def vprog(algorithm, sizes):
+def vprog(algorithm, sizes, **kwargs):
     def prog(comm):
         args = build_vargs(comm.rank, sizes)
-        alltoallv(comm, *args.as_tuple(), algorithm=algorithm)
+        alltoallv(comm, *args.as_tuple(), algorithm=algorithm, **kwargs)
         verify_recv(comm.rank, sizes, args.recvbuf)
         return True
     return prog
@@ -52,7 +55,11 @@ class TestCorrectness:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_all_zero_sizes(self, algorithm):
         sizes = np.zeros((5, 5), dtype=np.int64)
-        run_spmd(vprog(algorithm, sizes), 5)
+        res = run_spmd(vprog(algorithm, sizes), 5)
+        if algorithm in ("padded_bruck", "two_phase_bruck"):
+            # the allreduced max_n == 0 ends both before any exchange
+            assert not [m for t in res.traces for m in t.messages()
+                        if m[1] < MAX_USER_TAG]
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_many_zero_blocks(self, algorithm):
@@ -157,7 +164,7 @@ class TestTwoPhaseInternals:
         from repro.simmpi import MAX_USER_TAG
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog("two_phase_bruck", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("two_phase_bruck", sizes), p, config=ON_LOCAL)
         for trace in res.traces:
             # metadata + data per step (the 2*alpha*logP of Eq. 2);
             # internal-tag traffic (the setup allreduce) excluded.
@@ -169,7 +176,7 @@ class TestTwoPhaseInternals:
         from repro.simmpi import MAX_USER_TAG
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog("two_phase_bruck", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("two_phase_bruck", sizes), p, config=ON_LOCAL)
         for trace in res.traces:
             user = [e for e in trace.sends if e.tag < MAX_USER_TAG]
             for k in range(num_steps(p)):
@@ -178,13 +185,44 @@ class TestTwoPhaseInternals:
                 assert meta.nbytes == 4 * m
 
 
+class TestBruckFamilyWirePattern:
+    FAMILY = ("padded_bruck", "two_phase_bruck", "locality_padded_bruck",
+              "locality_two_phase_bruck")  # the last two at ppn=1: flat
+
+    @pytest.mark.parametrize("p", [5, 13, 16])
+    @pytest.mark.parametrize("algorithm, radix", [
+        (name, r) for name in FAMILY for r in (2, 3, 4, 8)
+        if r == 2 or get_algorithm(name, "nonuniform").supports_radix])
+    def test_substep_peers_and_framing(self, algorithm, radix, p):
+        # Substep (k, z) goes to the rank z * r**k below: padded as one
+        # message of max_n per moving block, two-phase as a 4-byte-per-
+        # block size array and then the data, both to that same peer.
+        sizes = block_size_matrix(UniformBlocks(48), p, seed=3)
+        max_n = int(sizes.max())
+        res = run_spmd(vprog(algorithm, sizes, radix=radix), p,
+                       config=ON_LOCAL)
+        subs = bruck_substeps(p, radix)
+        for trace in res.traces:
+            user = [(dst, nbytes) for dst, tag, nbytes in trace.messages()
+                    if tag < MAX_USER_TAG]
+            peers = [(trace.rank - sub.jump) % p for sub in subs]
+            moving = [len(sub.distances) for sub in subs]
+            if "padded" in algorithm:
+                assert user == [(d, m * max_n)
+                                for d, m in zip(peers, moving)]
+            else:
+                assert user[0::2] == [(d, 4 * m)
+                                      for d, m in zip(peers, moving)]
+                assert [d for d, _ in user[1::2]] == peers
+
+
 class TestPaddedInternals:
     def test_padded_message_sizes_use_global_max(self):
         from repro.core.common import num_steps, send_block_distances
         p = 8
         sizes = block_size_matrix(UniformBlocks(50), p, seed=0)
         max_n = int(sizes.max())
-        res = run_spmd(vprog("padded_bruck", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("padded_bruck", sizes), p, config=ON_LOCAL)
         from repro.simmpi import MAX_USER_TAG
         for trace in res.traces:
             # user-tag traffic only: one padded message per step
@@ -197,8 +235,8 @@ class TestPaddedInternals:
     def test_padded_moves_more_bytes_than_two_phase(self):
         p = 8
         sizes = block_size_matrix(UniformBlocks(64), p, seed=1)
-        padded = run_spmd(vprog("padded_bruck", sizes), p, machine=LOCAL)
-        tp = run_spmd(vprog("two_phase_bruck", sizes), p, machine=LOCAL)
+        padded = run_spmd(vprog("padded_bruck", sizes), p, config=ON_LOCAL)
+        tp = run_spmd(vprog("two_phase_bruck", sizes), p, config=ON_LOCAL)
         assert padded.total_bytes > tp.total_bytes
 
     def test_padded_alltoall_uses_vendor_exchange(self):
@@ -206,7 +244,7 @@ class TestPaddedInternals:
         # not log(P) Bruck messages.
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog("padded_alltoall", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("padded_alltoall", sizes), p, config=ON_LOCAL)
         max_n = int(sizes.max())
         for trace in res.traces:
             data_sends = [e for e in trace.sends if e.nbytes == max_n]
@@ -218,7 +256,7 @@ class TestSpreadOutInternals:
     def test_one_message_per_peer_with_true_sizes(self):
         p = 7
         sizes = block_size_matrix(UniformBlocks(40), p, seed=5)
-        res = run_spmd(vprog("spread_out", sizes), p, machine=LOCAL)
+        res = run_spmd(vprog("spread_out", sizes), p, config=ON_LOCAL)
         for trace in res.traces:
             r = trace.rank
             sent = {e.dst: e.nbytes for e in trace.sends}

@@ -11,7 +11,7 @@ from repro.core.registry import (
     register_algorithm,
 )
 from repro.core.uniform import alltoall
-from repro.simmpi import LOCAL, run_spmd
+from repro.simmpi import LOCAL, ExecutionConfig, run_spmd
 
 
 class TestLookup:
@@ -63,65 +63,6 @@ class TestLookup:
             list_algorithms("sideways")
 
 
-class TestDeprecatedAliases:
-    def test_uniform_stub_warns_and_mirrors_registry(self):
-        import repro.core.uniform as uni
-
-        with pytest.warns(DeprecationWarning, match="UNIFORM_ALGORITHMS"):
-            aliases = uni.UNIFORM_ALGORITHMS
-        assert "vendor" not in aliases
-        for name, fn in aliases.items():
-            assert get_algorithm(name, kind="uniform").fn is fn
-
-    def test_nonuniform_stub_warns_and_mirrors_registry(self):
-        import repro.core.nonuniform as non
-
-        with pytest.warns(DeprecationWarning,
-                          match="NONUNIFORM_ALGORITHMS"):
-            aliases = non.NONUNIFORM_ALGORITHMS
-        assert "vendor" not in aliases
-        for name, fn in aliases.items():
-            assert get_algorithm(name, kind="nonuniform").fn is fn
-
-    def test_top_level_reexports_forward(self):
-        import repro
-        import repro.core
-
-        for mod in (repro, repro.core):
-            with pytest.warns(DeprecationWarning):
-                assert "basic_bruck" in mod.UNIFORM_ALGORITHMS
-            with pytest.warns(DeprecationWarning):
-                assert "sloav" in mod.NONUNIFORM_ALGORITHMS
-
-    def test_warning_points_at_caller(self):
-        # Every access point warns with the *caller's* file as the
-        # warning location — the top-level re-exports must not delegate
-        # to an inner stub (each delegation hop adds a frame and used to
-        # make stacklevel=2 blame library code).
-        import warnings
-
-        import repro
-        import repro.core
-        import repro.core.nonuniform as non
-        import repro.core.uniform as uni
-
-        for mod, attr in ((repro, "NONUNIFORM_ALGORITHMS"),
-                          (repro.core, "UNIFORM_ALGORITHMS"),
-                          (uni, "UNIFORM_ALGORITHMS"),
-                          (non, "NONUNIFORM_ALGORITHMS")):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                getattr(mod, attr)
-            assert len(caught) == 1, (mod.__name__, attr)
-            assert caught[0].filename == __file__, (mod.__name__, attr)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.uniform as uni
-
-        with pytest.raises(AttributeError):
-            uni.NO_SUCH_THING
-
-
 class TestRegistration:
     def test_register_and_lookup(self):
         def fake(comm, *args, **kwargs):
@@ -154,7 +95,7 @@ class TestVendorDispatch:
             alltoall(comm, send, recv, n, algorithm="vendor")
             return recv.copy()
 
-        res = run_spmd(prog, p, machine=LOCAL)
+        res = run_spmd(prog, p, config=ExecutionConfig(machine=LOCAL))
         for rank, out in enumerate(res.returns):
             for src in range(p):
                 expect = np.arange(rank * n, (rank + 1) * n, dtype=np.uint8)

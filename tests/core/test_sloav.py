@@ -4,9 +4,10 @@ parametrization in test_nonuniform.py)."""
 import numpy as np
 import pytest
 
-from repro.core.common import num_steps
+from repro.core.common import num_steps, send_block_distances
 from repro.core.nonuniform import alltoallv
-from repro.simmpi import LOCAL, MAX_USER_TAG, THETA, run_spmd
+from repro.simmpi import (LOCAL, MAX_USER_TAG, THETA, ExecutionConfig,
+                          run_spmd)
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs, verify_recv
 
 
@@ -22,7 +23,7 @@ class TestSloavStructure:
     def test_two_messages_per_step_header_then_combined(self):
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog(sizes), p, machine=LOCAL)
+        res = run_spmd(vprog(sizes), p, config=ExecutionConfig(machine=LOCAL))
         for trace in res.traces:
             user = [e for e in trace.sends if e.tag < MAX_USER_TAG]
             assert len(user) == 2 * num_steps(p)
@@ -30,21 +31,23 @@ class TestSloavStructure:
                 header, combined = user[2 * k], user[2 * k + 1]
                 assert header.nbytes == 4          # combined-size header
                 # combined = 4 bytes/block of metadata + the data bytes
-                assert combined.nbytes >= 4
-                assert combined.dst == header.dst
+                assert combined.nbytes >= 4 * len(send_block_distances(k, p))
+                # basic-Bruck orientation: step k sends 2**k ranks up
+                assert combined.dst == header.dst == \
+                    (trace.rank + (1 << k)) % p
 
     def test_no_allreduce_needed(self):
         # Unlike padded/two-phase, SLOAV never computes a global max:
         # no internal-tag (collective) traffic at all.
         p = 8
         sizes = block_size_matrix(UniformBlocks(32), p, seed=0)
-        res = run_spmd(vprog(sizes), p, machine=LOCAL)
+        res = run_spmd(vprog(sizes), p, config=ExecutionConfig(machine=LOCAL))
         for trace in res.traces:
             assert all(e.tag < MAX_USER_TAG for e in trace.sends)
 
     def test_phases_present(self):
         sizes = block_size_matrix(UniformBlocks(64), 16, seed=1)
-        res = run_spmd(vprog(sizes), 16, machine=THETA)
+        res = run_spmd(vprog(sizes), 16, config=ExecutionConfig(machine=THETA))
         phases = res.phase_times()
         assert phases["final_rotation"] > 0
         assert phases["scan"] > 0
@@ -72,7 +75,7 @@ class TestSloavStructure:
             def prog(comm):
                 args = build_vargs(comm.rank, sizes)
                 alltoallv(comm, *args.as_tuple(), algorithm=algorithm)
-            res = run_spmd(prog, p, machine=LOCAL)
+            res = run_spmd(prog, p, config=ExecutionConfig(machine=LOCAL))
             return sum(e.nbytes for t in res.traces for e in t.sends
                        if e.tag < MAX_USER_TAG)
 

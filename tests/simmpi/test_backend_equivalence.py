@@ -71,8 +71,10 @@ def _run_uniform(name: str, nprocs: int, backend: str, wire: str):
                     theirs[comm.rank * BLOCK:(comm.rank + 1) * BLOCK])
         return comm.clock
 
-    return run_spmd(prog, nprocs, machine=THETA, backend=backend,
-                    trace=False, timeout=300, wire=wire)
+    return run_spmd(prog, nprocs,
+                    config=ExecutionConfig(machine=THETA, backend=backend,
+                                           trace=False, timeout=300,
+                                           wire=wire))
 
 
 def _run_nonuniform(name: str, nprocs: int, backend: str, wire: str):
@@ -87,8 +89,10 @@ def _run_nonuniform(name: str, nprocs: int, backend: str, wire: str):
             verify_recv(comm.rank, sizes, vargs.recvbuf)
         return comm.clock
 
-    return run_spmd(prog, nprocs, machine=THETA, backend=backend,
-                    trace=False, timeout=300, wire=wire)
+    return run_spmd(prog, nprocs,
+                    config=ExecutionConfig(machine=THETA, backend=backend,
+                                           trace=False, timeout=300,
+                                           wire=wire))
 
 
 def _assert_matrix(run, name, nprocs):
@@ -134,9 +138,11 @@ def _run_faulted(name: str, nprocs: int, backend: str, wire: str):
             verify_recv(comm.rank, sizes, vargs.recvbuf)
         return comm.clock
 
-    return run_spmd(prog, nprocs, machine=THETA, backend=backend,
-                    trace=True, timeout=300, wire=wire,
-                    fault_plan=FAULT_SPEC, fault_seed=23, on_fault="retry")
+    return run_spmd(prog, nprocs,
+                    config=ExecutionConfig(machine=THETA, backend=backend,
+                                           trace=True, timeout=300, wire=wire,
+                                           fault_plan=FAULT_SPEC,
+                                           fault_seed=23, on_fault="retry"))
 
 
 def _fault_sequences(result):

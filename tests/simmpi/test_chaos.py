@@ -29,6 +29,7 @@ from repro.core.registry import get_algorithm, list_algorithms
 from repro.simmpi import (
     THETA,
     CrashRule,
+    ExecutionConfig,
     FaultPlan,
     MessageCorruptError,
     SimMPIError,
@@ -72,9 +73,11 @@ def _run(algorithm, *, backend, fault_plan, on_fault, verify, seed=17,
             verify_recv(comm.rank, SIZES, vargs.recvbuf)
         return comm.rank
 
-    return run_spmd(prog, NPROCS, machine=THETA, backend=backend,
-                    timeout=60, fault_plan=fault_plan, fault_seed=seed,
-                    on_fault=on_fault, reliability=reliability)
+    return run_spmd(prog, NPROCS,
+                    config=ExecutionConfig(machine=THETA, backend=backend,
+                                           timeout=60, fault_plan=fault_plan,
+                                           fault_seed=seed, on_fault=on_fault,
+                                           reliability=reliability))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -151,8 +154,11 @@ def test_degrade_partial_is_byte_verified_for_direct_algorithms():
         return vargs.recvbuf.copy()
 
     for backend in ("threads", "coop"):
-        result = run_spmd(prog, NPROCS, machine=THETA, backend=backend,
-                          timeout=60, fault_plan=plan, on_fault="degrade")
+        result = run_spmd(prog, NPROCS,
+                          config=ExecutionConfig(machine=THETA,
+                                                 backend=backend, timeout=60,
+                                                 fault_plan=plan,
+                                                 on_fault="degrade"))
         assert result.degraded_ranks == [dead]
         for rank, recvbuf in enumerate(result.returns):
             if rank == dead:
@@ -244,9 +250,11 @@ def test_degrade_tombstones_byzantine_sender_as_flagged_partial(backend):
         fn(comm, *vargs.as_tuple())
         return vargs.recvbuf.copy()
 
-    result = run_spmd(prog, NPROCS, machine=THETA, backend=backend,
-                      timeout=60, fault_plan=plan, on_fault="degrade",
-                      reliability="verify")
+    result = run_spmd(prog, NPROCS,
+                      config=ExecutionConfig(machine=THETA, backend=backend,
+                                             timeout=60, fault_plan=plan,
+                                             on_fault="degrade",
+                                             reliability="verify"))
     assert result.degraded_ranks == [3]
     assert result.degraded
     for rank, recvbuf in enumerate(result.returns):

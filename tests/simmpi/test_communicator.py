@@ -7,6 +7,7 @@ import pytest
 from repro.simmpi import (
     LOCAL,
     THETA,
+    ExecutionConfig,
     InvalidRankError,
     InvalidTagError,
     TruncationError,
@@ -265,7 +266,7 @@ class TestCostHooks:
             assert np.array_equal(out[0:8], buf[0:8])
             assert np.array_equal(out[32:40], buf[32:40])
             assert np.array_equal(out[16:20], buf[16:20])
-        run_spmd(prog, 1, machine=machine)
+        run_spmd(prog, 1, config=ExecutionConfig(machine=machine))
 
     def test_phase_records_intervals(self):
         def prog(comm):
@@ -292,8 +293,8 @@ class TestDeterminism:
             comm.alltoall(send, recv, n)
             comm.allreduce(comm.rank, op="sum")
             comm.barrier()
-        a = run_spmd(prog, 8, machine=THETA)
-        b = run_spmd(prog, 8, machine=THETA)
+        a = run_spmd(prog, 8, config=ExecutionConfig(machine=THETA))
+        b = run_spmd(prog, 8, config=ExecutionConfig(machine=THETA))
         assert a.clocks == b.clocks
 
     def test_clock_independent_of_machine_for_structure(self):
@@ -302,8 +303,8 @@ class TestDeterminism:
             send = np.zeros(comm.size * 4, dtype=np.uint8)
             recv = np.zeros(comm.size * 4, dtype=np.uint8)
             comm.alltoall(send, recv, 4)
-        a = run_spmd(prog, 4, machine=THETA)
-        b = run_spmd(prog, 4, machine=LOCAL)
+        a = run_spmd(prog, 4, config=ExecutionConfig(machine=THETA))
+        b = run_spmd(prog, 4, config=ExecutionConfig(machine=LOCAL))
         assert a.total_messages == b.total_messages
         assert a.total_bytes == b.total_bytes
         assert a.elapsed != b.elapsed

@@ -1,7 +1,9 @@
-"""ExecutionConfig: validation, the kwarg deprecation shim, config echo."""
+"""ExecutionConfig: validation, config echo, removed surfaces."""
 
 import pytest
 
+import repro.core.nonuniform
+import repro.core.uniform
 from repro.simmpi import (
     ExecutionConfig,
     FaultPlan,
@@ -98,20 +100,6 @@ class TestValidation:
 
 
 class TestShim:
-    def test_legacy_kwargs_warn_and_match_config(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-            legacy = run_spmd(_prog, 4, machine=THETA, trace=False,
-                              backend="coop", wire="phantom")
-        modern = run_spmd(_prog, 4, config=ExecutionConfig(
-            machine=THETA, trace=False, backend="coop", wire="phantom"))
-        assert legacy.clocks == modern.clocks
-        assert legacy.total_messages == modern.total_messages
-
-    def test_mixing_config_and_legacy_kwargs_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_spmd(_prog, 4, config=ExecutionConfig(machine=THETA),
-                     backend="coop")
-
     def test_config_must_be_execution_config(self):
         with pytest.raises(ValueError, match="ExecutionConfig"):
             run_spmd(_prog, 4, config={"machine": THETA})
@@ -129,7 +117,18 @@ class TestShim:
         res = run_spmd(_prog, 4, config=cfg)
         assert res.config is cfg
 
-    def test_legacy_bad_backend_fails_before_spawn(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="backend"):
-                run_spmd(_prog, 4, backend="cuda")
+
+@pytest.mark.parametrize("access, error", [
+    (lambda: run_spmd(_prog, 2, machine=THETA), TypeError),
+    (lambda: run_spmd(_prog, 2, config="coop"), ValueError),
+    (lambda: repro.UNIFORM_ALGORITHMS, AttributeError),
+    (lambda: repro.core.NONUNIFORM_ALGORITHMS, AttributeError),
+    (lambda: repro.core.uniform.UNIFORM_ALGORITHMS, AttributeError),
+    (lambda: repro.core.nonuniform.NONUNIFORM_ALGORITHMS, AttributeError),
+], ids=["loose-kwarg", "config-not-a-config", "repro", "core", "uniform",
+        "nonuniform"])
+def test_removed_surfaces_stay_removed(access, error):
+    # The kwarg shim and the *_ALGORITHMS alias dicts are gone: one way
+    # in (config=), one algorithm table (repro.core.registry).
+    with pytest.raises(error):
+        access()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.simmpi import DeadlockError, LOCAL, RankFailedError, run_spmd
+from repro.simmpi import (DeadlockError, ExecutionConfig, LOCAL,
+                          RankFailedError, run_spmd)
 
 
 class TestBasics:
@@ -42,7 +43,8 @@ class TestBasics:
         assert res.elapsed == 0.0
 
     def test_trace_disabled(self):
-        res = run_spmd(lambda comm: None, 2, trace=False)
+        res = run_spmd(lambda comm: None, 2,
+                       config=ExecutionConfig(trace=False))
         assert res.traces is None
         with pytest.raises(ValueError, match="trace=False"):
             res.phase_times()
@@ -74,7 +76,7 @@ class TestFailurePropagation:
                 raise RuntimeError("dead")
             comm.recv(np.zeros(1, dtype=np.uint8), 1)
         with pytest.raises((RuntimeError, RankFailedError)):
-            run_spmd(prog, 2, timeout=30)
+            run_spmd(prog, 2, config=ExecutionConfig(timeout=30))
 
     def test_lowest_rank_failure_reported_first(self):
         def prog(comm):
@@ -90,7 +92,7 @@ class TestWatchdog:
             if comm.rank == 0:
                 comm.recv(np.zeros(1, dtype=np.uint8), 1, tag=7)
         with pytest.raises((DeadlockError, Exception)):
-            run_spmd(prog, 2, timeout=0.5)
+            run_spmd(prog, 2, config=ExecutionConfig(timeout=0.5))
 
 
 class TestPhaseAggregation:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.simmpi import (
     DeadlockError,
+    ExecutionConfig,
     FaultPlan,
     InjectedCrashError,
     LOCAL,
@@ -46,14 +47,15 @@ class TestWatchdogSharedDeadline:
             time.sleep(0.4 * comm.rank)
         start = time.monotonic()
         with pytest.raises(DeadlockError, match="no progress within"):
-            run_spmd(prog, 6, timeout=1.0)
+            run_spmd(prog, 6, config=ExecutionConfig(timeout=1.0))
         # Budget (1s) + teardown joins for the still-sleeping ranks (~1s)
         # must stay far under the old-code success path (~2s + no error)
         # and the nprocs*timeout worst case (6s).
         assert time.monotonic() - start < 4.0
 
     def test_fast_job_unaffected(self):
-        res = run_spmd(lambda comm: comm.rank, 6, timeout=30.0)
+        res = run_spmd(lambda comm: comm.rank, 6,
+                       config=ExecutionConfig(timeout=30.0))
         assert res.returns == list(range(6))
 
 
@@ -131,7 +133,9 @@ class TestRootCausePreference:
                 raise ValueError("root cause")
             comm.recv(np.zeros(1, dtype=np.uint8), 2)
         with pytest.raises(ValueError, match=r"rank 2.*root cause"):
-            run_spmd(prog, 3, backend=backend, wire=wire, timeout=30)
+            run_spmd(prog, 3,
+                     config=ExecutionConfig(backend=backend, wire=wire,
+                                            timeout=30))
 
     @pytest.mark.parametrize("backend,wire", BACKEND_WIRE)
     def test_receive_from_silent_rank_is_typed(self, backend, wire):
@@ -142,7 +146,9 @@ class TestRootCausePreference:
             if comm.rank == 1:
                 comm.recv(np.zeros(1, dtype=np.uint8), 0)
         with pytest.raises(SimMPIError):
-            run_spmd(prog, 2, backend=backend, wire=wire, timeout=1.0)
+            run_spmd(prog, 2,
+                     config=ExecutionConfig(backend=backend, wire=wire,
+                                            timeout=1.0))
 
 
 class TestAbortFirstWriterWins:
@@ -180,5 +186,7 @@ class TestAbortFirstWriterWins:
                 comm.sendrecv(out, right, tag, inp, left, tag)
 
         with pytest.raises(InjectedCrashError, match="rank 1"):
-            run_spmd(prog, 4, backend="threads", timeout=30,
-                     fault_plan=plan, on_fault="fail-fast")
+            run_spmd(prog, 4,
+                     config=ExecutionConfig(backend="threads", timeout=30,
+                                            fault_plan=plan,
+                                            on_fault="fail-fast"))

@@ -13,6 +13,7 @@ from repro.simmpi import (
     KNOWN_FAULT_CLAUSES,
     LOCAL,
     CrashRule,
+    ExecutionConfig,
     FaultInjector,
     FaultPlan,
     FaultRule,
@@ -245,8 +246,9 @@ class TestReliability:
                 comm.recv(buf, 0)
 
         with pytest.raises(MessageLostError, match="lost"):
-            run_spmd(prog, 2, machine=LOCAL, backend="coop",
-                     fault_plan=plan, on_fault="retry")
+            run_spmd(prog, 2,
+                     config=ExecutionConfig(machine=LOCAL, backend="coop",
+                                            fault_plan=plan, on_fault="retry"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -413,7 +415,6 @@ class TestVerifiedTransport:
             assert out.tobytes() == buf.tobytes()
 
     def _cfg(self, **kw):
-        from repro.simmpi import ExecutionConfig
         defaults = dict(machine=LOCAL, backend="coop", trace="metrics",
                         reliability="verify")
         defaults.update(kw)
@@ -492,7 +493,6 @@ class TestVerifiedTransport:
         assert verified.elapsed > plain.elapsed   # checksum passes cost time
 
     def test_reliability_verify_string_resolves(self):
-        from repro.simmpi import ExecutionConfig
         cfg = ExecutionConfig(machine=LOCAL, reliability="verify")
         assert cfg.reliability.verify
         with pytest.raises(ValueError, match="verify"):

@@ -125,8 +125,10 @@ def _run_hier(name, nprocs, ppn, backend, wire):
             verify_recv(comm.rank, sizes, vargs.recvbuf)
         return comm.clock
 
-    return run_spmd(prog, nprocs, machine=machine, backend=backend,
-                    trace=False, timeout=300, wire=wire)
+    return run_spmd(prog, nprocs,
+                    config=ExecutionConfig(machine=machine, backend=backend,
+                                           trace=False, timeout=300,
+                                           wire=wire))
 
 
 @pytest.mark.parametrize("nprocs,ppn", SHAPES)
@@ -194,8 +196,10 @@ def test_locality_reduces_inter_node_traffic(name):
             vargs = build_vargs(comm.rank, sizes, fill=False)
             fn(comm, *vargs.as_tuple())
 
-        res = run_spmd(prog, nprocs, machine=machine, backend="coop",
-                       trace=True, timeout=300, wire="phantom")
+        res = run_spmd(prog, nprocs,
+                       config=ExecutionConfig(machine=machine, backend="coop",
+                                              trace=True, timeout=300,
+                                              wire="phantom"))
         return sum(1 for tr in res.traces for e in tr.sends
                    if e.src // ppn != e.dst // ppn)
 

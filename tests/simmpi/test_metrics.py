@@ -6,6 +6,7 @@ import pytest
 from repro.simmpi import (
     LOCAL,
     Counter,
+    ExecutionConfig,
     Histogram,
     MetricsRegistry,
     MetricsTrace,
@@ -142,41 +143,49 @@ def _pingpong(comm):
 
 class TestTraceModes:
     def test_full_records_both(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace=True)
+        res = run_spmd(_pingpong, 2,
+                       config=ExecutionConfig(machine=LOCAL, trace=True))
         assert res.traces is not None
         assert res.metrics is not None
 
     def test_events_only(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace="events")
+        res = run_spmd(_pingpong, 2,
+                       config=ExecutionConfig(machine=LOCAL, trace="events"))
         assert res.traces is not None
         assert res.metrics is None
 
     def test_metrics_only(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace="metrics")
+        res = run_spmd(_pingpong, 2,
+                       config=ExecutionConfig(machine=LOCAL, trace="metrics"))
         assert res.traces is None
         assert res.metrics is not None
         # Phase/collective tables still work, fed by the MetricsTrace.
-        full = run_spmd(_pingpong, 2, machine=LOCAL, trace=True)
+        full = run_spmd(_pingpong, 2,
+                        config=ExecutionConfig(machine=LOCAL, trace=True))
         assert res.phase_times() == pytest.approx(full.phase_times())
         assert res.collective_times() == \
             pytest.approx(full.collective_times())
 
     def test_off(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace=False)
+        res = run_spmd(_pingpong, 2,
+                       config=ExecutionConfig(machine=LOCAL, trace=False))
         assert res.traces is None
         assert res.metrics is None
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="trace"):
-            run_spmd(_pingpong, 2, machine=LOCAL, trace="everything")
+            run_spmd(_pingpong, 2,
+                     config=ExecutionConfig(machine=LOCAL, trace="everything"))
 
     def test_totals_agree_with_network(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace=True)
+        res = run_spmd(_pingpong, 2,
+                       config=ExecutionConfig(machine=LOCAL, trace=True))
         assert res.metrics.total_messages == res.total_messages
         assert res.metrics.total_bytes == res.total_bytes
 
     def test_wait_decomposition_nonnegative(self):
-        res = run_spmd(_pingpong, 2, machine=LOCAL, trace="metrics")
+        res = run_spmd(_pingpong, 2,
+                       config=ExecutionConfig(machine=LOCAL, trace="metrics"))
         m = res.metrics
         assert m.queue_wait_total >= 0.0
         assert m.recv_wait_total >= 0.0
@@ -186,9 +195,12 @@ class TestTraceModes:
     def test_metrics_do_not_perturb_clocks(self):
         # The cost model must be identical with observability on and off.
         for mode in (False, "events", "metrics", True):
-            res = run_spmd(_pingpong, 2, machine=LOCAL, trace=mode)
+            res = run_spmd(_pingpong, 2,
+                           config=ExecutionConfig(machine=LOCAL, trace=mode))
             assert res.clocks == \
-                run_spmd(_pingpong, 2, machine=LOCAL, trace=True).clocks
+                run_spmd(_pingpong, 2,
+                         config=ExecutionConfig(machine=LOCAL,
+                                                trace=True)).clocks
 
 
 class TestTracerHierarchy:
@@ -239,7 +251,7 @@ class TestFaultPolicyMetrics:
 
     def _run(self, backend, plan, policy, algorithm="two_phase_bruck"):
         from repro.core.registry import get_algorithm
-        from repro.simmpi import ExecutionConfig, THETA
+        from repro.simmpi import THETA
         from repro.workloads import (block_size_matrix, build_vargs,
                                      distribution_by_name)
 

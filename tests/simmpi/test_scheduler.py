@@ -12,10 +12,13 @@ from repro.simmpi import (
     CoopNetwork,
     CoopScheduler,
     DeadlockError,
+    ExecutionConfig,
     LOCAL,
     THETA,
     run_spmd,
 )
+
+COOP = ExecutionConfig(backend="coop")
 
 
 class TestBasics:
@@ -24,18 +27,19 @@ class TestBasics:
 
     def test_invalid_backend(self):
         with pytest.raises(ValueError, match="backend"):
-            run_spmd(lambda comm: None, 2, backend="fibers")
+            run_spmd(lambda comm: None, 2,
+                     config=ExecutionConfig(backend="fibers"))
 
     def test_returns_per_rank(self):
-        res = run_spmd(lambda comm: comm.rank * 10, 5, backend="coop")
+        res = run_spmd(lambda comm: comm.rank * 10, 5, config=COOP)
         assert res.returns == [0, 10, 20, 30, 40]
 
     def test_args_and_rank_args(self):
         res = run_spmd(lambda comm, x, y: x + y + comm.rank, 3,
-                       args=(100, 20), backend="coop")
+                       args=(100, 20), config=COOP)
         assert res.returns == [120, 121, 122]
         res = run_spmd(lambda comm, mine: mine * 2, 3,
-                       rank_args=[(1,), (2,), (3,)], backend="coop")
+                       rank_args=[(1,), (2,), (3,)], config=COOP)
         assert res.returns == [2, 4, 6]
 
     def test_point_to_point_ring(self):
@@ -45,7 +49,7 @@ class TestBasics:
             inc = np.zeros(4, dtype=np.uint8)
             comm.sendrecv(out, (r + 1) % p, 3, inc, (r - 1) % p, 3)
             return int(inc[0])
-        res = run_spmd(prog, 8, backend="coop")
+        res = run_spmd(prog, 8, config=COOP)
         assert res.returns == [(r - 1) % 8 for r in range(8)]
 
     def test_collectives(self):
@@ -56,7 +60,7 @@ class TestBasics:
             total = comm.allreduce(comm.rank, op="sum")
             gathered = comm.allgather(np.array([comm.rank], dtype=np.int64))
             return int(buf[0]), total, list(gathered.ravel())
-        res = run_spmd(prog, 6, backend="coop")
+        res = run_spmd(prog, 6, config=COOP)
         for val, total, gathered in res.returns:
             assert val == 42
             assert total == 15
@@ -69,16 +73,18 @@ class TestBasics:
                 return None
             if comm.rank == 1:
                 return comm.recv_obj(0)
-        res = run_spmd(prog, 2, backend="coop")
+        res = run_spmd(prog, 2, config=COOP)
         assert res.returns[1] == {"payload": [1, 2, 3]}
 
     def test_trace_modes(self):
         def prog(comm):
             with comm.phase("work"):
                 comm.charge_compute(1.0 + comm.rank)
-        res = run_spmd(prog, 3, backend="coop", trace=True)
+        res = run_spmd(prog, 3,
+                       config=ExecutionConfig(backend="coop", trace=True))
         assert res.phase_times()["work"] == pytest.approx(3.0)
-        res = run_spmd(prog, 3, backend="coop", trace="metrics")
+        res = run_spmd(prog, 3,
+                       config=ExecutionConfig(backend="coop", trace="metrics"))
         assert res.traces is None
         assert res.metrics is not None
 
@@ -91,8 +97,12 @@ class TestDeterminism:
             recv = np.zeros(p * 8, dtype=np.uint8)
             comm.alltoall(send, recv, 8)
             return comm.clock
-        a = run_spmd(prog, 16, machine=THETA, backend="coop", trace=False)
-        b = run_spmd(prog, 16, machine=THETA, backend="coop", trace=False)
+        a = run_spmd(prog, 16,
+                     config=ExecutionConfig(machine=THETA, backend="coop",
+                                            trace=False))
+        b = run_spmd(prog, 16,
+                     config=ExecutionConfig(machine=THETA, backend="coop",
+                                            trace=False))
         assert a.clocks == b.clocks
         assert a.total_messages == b.total_messages
 
@@ -106,7 +116,8 @@ class TestExactDeadlockDetection:
                 comm.recv(np.zeros(1, dtype=np.uint8), 1, tag=7)
         start = time.monotonic()
         with pytest.raises(DeadlockError) as exc_info:
-            run_spmd(prog, 4, backend="coop", timeout=100000)
+            run_spmd(prog, 4,
+                     config=ExecutionConfig(backend="coop", timeout=100000))
         assert time.monotonic() - start < 5.0
         msg = str(exc_info.value)
         assert "rank 0 waiting on src=1 tag=7" in msg
@@ -120,7 +131,7 @@ class TestExactDeadlockDetection:
             if comm.rank == 0:
                 comm.recv(np.zeros(2, dtype=np.uint8), 1, tag=5)
         with pytest.raises(DeadlockError, match=r"src=1 dst=0 tag=9"):
-            run_spmd(prog, 2, backend="coop")
+            run_spmd(prog, 2, config=COOP)
 
     def test_carrier_threads_unwound(self):
         def prog(comm):
@@ -128,7 +139,7 @@ class TestExactDeadlockDetection:
                 comm.recv(np.zeros(1, dtype=np.uint8), 1, tag=7)
         before = threading.active_count()
         with pytest.raises(DeadlockError):
-            run_spmd(prog, 8, backend="coop")
+            run_spmd(prog, 8, config=COOP)
         deadline = time.monotonic() + 5.0
         while (threading.active_count() > before
                and time.monotonic() < deadline):
@@ -142,7 +153,7 @@ class TestFailurePropagation:
             if comm.rank == 2:
                 raise ValueError("kaboom")
         with pytest.raises(ValueError, match=r"rank 2.*kaboom"):
-            run_spmd(prog, 4, backend="coop")
+            run_spmd(prog, 4, config=COOP)
 
     def test_blocked_peers_released_and_root_cause_wins(self):
         # Rank 2 dies; ranks 0 and 1 are parked on receives from it.  The
@@ -153,7 +164,7 @@ class TestFailurePropagation:
                 raise ValueError("root cause")
             comm.recv(np.zeros(1, dtype=np.uint8), 2)
         with pytest.raises(ValueError, match=r"rank 2.*root cause"):
-            run_spmd(prog, 3, backend="coop")
+            run_spmd(prog, 3, config=COOP)
 
     def test_send_after_peer_failure_raises(self):
         # Rank 0 fails first (the scheduler runs it first); rank 1's later
@@ -163,7 +174,7 @@ class TestFailurePropagation:
                 raise ValueError("down")
             comm.barrier()  # parks rank 1 until the abort wakes it
         with pytest.raises(ValueError, match="down"):
-            run_spmd(prog, 2, backend="coop")
+            run_spmd(prog, 2, config=COOP)
 
 
 class TestScale:
@@ -179,7 +190,9 @@ class TestScale:
             fn(comm, send, recv, 1)
             assert list(recv) == [comm.rank] * p
             return comm.clock
-        res = run_spmd(prog, p, machine=THETA, backend="coop", trace=False)
+        res = run_spmd(prog, p,
+                       config=ExecutionConfig(machine=THETA, backend="coop",
+                                              trace=False))
         assert res.elapsed > 0
 
     @pytest.mark.skipif(not os.environ.get("REPRO_LARGE_P"),
@@ -198,8 +211,9 @@ class TestScale:
             fn(comm, *vargs.as_tuple())
             verify_recv(comm.rank, sizes, vargs.recvbuf)
             return comm.clock
-        res = run_spmd(prog, p, machine=THETA, backend="coop",
-                       trace="metrics")
+        res = run_spmd(prog, p,
+                       config=ExecutionConfig(machine=THETA, backend="coop",
+                                              trace="metrics"))
         assert res.metrics is not None
         assert res.elapsed > 0
         assert all(c > 0 for c in res.clocks)

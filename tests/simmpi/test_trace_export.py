@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core.nonuniform import alltoallv
-from repro.simmpi import (LOCAL, chrome_trace, format_summary, run_spmd,
-                          trace_export)
+from repro.simmpi import (LOCAL, ExecutionConfig, chrome_trace,
+                          format_summary, run_spmd, trace_export)
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
 
 P = 5
@@ -21,7 +21,8 @@ def _two_phase_result(trace=True):
         vargs = build_vargs(comm.rank, sizes)
         alltoallv(comm, *vargs.as_tuple(), algorithm="two_phase_bruck")
 
-    return run_spmd(prog, P, machine=LOCAL, trace=trace)
+    return run_spmd(prog, P,
+                    config=ExecutionConfig(machine=LOCAL, trace=trace))
 
 
 def _raise_runtime_error(*_args, **_kwargs):

@@ -13,6 +13,7 @@ import pytest
 from repro.simmpi import (
     WIRE_MODES,
     Envelope,
+    ExecutionConfig,
     TruncationError,
     run_spmd,
 )
@@ -24,11 +25,13 @@ class TestWireSelection:
 
     def test_run_spmd_rejects_unknown_wire(self):
         with pytest.raises(ValueError, match="wire"):
-            run_spmd(lambda comm: None, 2, wire="telepathy")
+            run_spmd(lambda comm: None, 2,
+                     config=ExecutionConfig(wire="telepathy"))
 
     def test_result_records_wire(self):
         for wire in WIRE_MODES:
-            result = run_spmd(lambda comm: None, 2, wire=wire)
+            result = run_spmd(lambda comm: None, 2,
+                              config=ExecutionConfig(wire=wire))
             assert result.wire == wire
 
     def test_default_wire_is_bytes(self):
@@ -67,7 +70,7 @@ class TestPhantomTransport:
                 n = comm.recv(buf, 0, tag=5)
                 assert n == 40  # sizes flow
                 assert buf.tolist() == [-1] * 10  # bytes do not
-        run_spmd(prog, 2, wire="phantom")
+        run_spmd(prog, 2, config=ExecutionConfig(wire="phantom"))
 
     def test_truncation_still_enforced(self):
         def prog(comm):
@@ -76,7 +79,7 @@ class TestPhantomTransport:
             else:
                 comm.recv(np.zeros(10, dtype=np.uint8), 0)
         with pytest.raises(TruncationError):
-            run_spmd(prog, 2, wire="phantom")
+            run_spmd(prog, 2, config=ExecutionConfig(wire="phantom"))
 
     def test_probe_nbytes_both_modes(self):
         for wire in WIRE_MODES:
@@ -89,7 +92,7 @@ class TestPhantomTransport:
                     comm.barrier()
                     assert comm.probe_nbytes(0, tag=2) == 24
                     comm.recv(np.zeros(24, dtype=np.uint8), 0, tag=2)
-            run_spmd(prog, 2, wire=wire)
+            run_spmd(prog, 2, config=ExecutionConfig(wire=wire))
 
     def test_control_plane_carries_real_bytes(self):
         """``control=True`` sends (and object transport) keep their
@@ -104,7 +107,7 @@ class TestPhantomTransport:
                 comm.recv(buf, 0, tag=1)
                 assert buf.tolist() == [7, 8, 9]
                 assert comm.recv_obj(0, tag=2) == {"counts": [3, 1]}
-        run_spmd(prog, 2, wire="phantom")
+        run_spmd(prog, 2, config=ExecutionConfig(wire="phantom"))
 
     def test_phantom_send_requires_ndarray(self):
         """Size-only sends need a sized buffer; raw bytes objects are
@@ -115,7 +118,7 @@ class TestPhantomTransport:
             else:
                 comm.recv(np.zeros(4, dtype=np.uint8), 0)
         with pytest.raises(TypeError):
-            run_spmd(prog, 2, wire="phantom")
+            run_spmd(prog, 2, config=ExecutionConfig(wire="phantom"))
 
     def test_builtin_alltoallv_phantom_matches_bytes_clocks(self):
         counts = [[2, 5, 1], [3, 3, 3], [4, 0, 2]]
@@ -136,8 +139,10 @@ class TestPhantomTransport:
                 return comm.clock
             return prog
 
-        ref = run_spmd(make_prog(True), 3, wire="bytes")
-        ph = run_spmd(make_prog(False), 3, wire="phantom")
+        ref = run_spmd(make_prog(True), 3,
+                       config=ExecutionConfig(wire="bytes"))
+        ph = run_spmd(make_prog(False), 3,
+                      config=ExecutionConfig(wire="phantom"))
         assert ph.clocks == ref.clocks
         assert ph.total_bytes == ref.total_bytes
 
@@ -176,7 +181,7 @@ class TestAlltoallvValidation:
         def prog(comm):
             comm.alltoallv(np.zeros(sbytes, dtype=np.uint8), scounts, sdis,
                            np.zeros(rbytes, dtype=np.uint8), rcounts, rdis)
-        run_spmd(prog, 2, wire=wire)
+        run_spmd(prog, 2, config=ExecutionConfig(wire=wire))
 
     def test_send_extent_beyond_buffer(self):
         with pytest.raises(ValueError, match="exceeds buffer"):

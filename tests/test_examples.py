@@ -12,6 +12,8 @@ import sys
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+# A deprecated call in an example is a broken README too.
+PYTHON = [sys.executable, "-W", "error::DeprecationWarning"]
 
 CASES = [
     ("quickstart.py", []),
@@ -27,7 +29,7 @@ CASES = [
                          ids=[c[0] for c in CASES])
 def test_example_runs(script, args):
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES / script), *args],
+        [*PYTHON, str(EXAMPLES / script), *args],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "example produced no output"
@@ -35,7 +37,7 @@ def test_example_runs(script, args):
 
 def test_quickstart_reports_bruck_win():
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES / "quickstart.py")],
+        [*PYTHON, str(EXAMPLES / "quickstart.py")],
         capture_output=True, text=True, timeout=300)
     assert "faster than the vendor" in proc.stdout
     assert "-" not in proc.stdout.split("% faster")[0].split()[-1], \
@@ -44,7 +46,7 @@ def test_quickstart_reports_bruck_win():
 
 def test_advisor_answers_paper_question():
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES / "algorithm_advisor.py"),
+        [*PYTHON, str(EXAMPLES / "algorithm_advisor.py"),
          "350", "800"],
         capture_output=True, text=True, timeout=300)
     assert "two_phase_bruck" in proc.stdout

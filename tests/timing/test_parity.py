@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.nonuniform import alltoallv
 from repro.core.uniform import alltoall
-from repro.simmpi import CORI, LOCAL, STAMPEDE2, THETA, run_spmd
+from repro.simmpi import (CORI, LOCAL, STAMPEDE2, THETA, ExecutionConfig,
+                          run_spmd)
 from repro.timing import predict_alltoallv, predict_uniform
 from repro.timing.uniform import UNIFORM_PREDICTORS
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
@@ -27,15 +28,18 @@ def functional_uniform(algorithm, machine, p, n):
         send = np.zeros(p * n, dtype=np.uint8)
         recv = np.zeros(p * n, dtype=np.uint8)
         alltoall(comm, send, recv, n, algorithm=algorithm)
-    return run_spmd(prog, p, machine=machine, trace=False).elapsed
+    return run_spmd(prog, p,
+                    config=ExecutionConfig(machine=machine,
+                                           trace=False)).elapsed
 
 
 def functional_nonuniform(algorithm, machine, sizes):
     def prog(comm):
         args = build_vargs(comm.rank, sizes)
         alltoallv(comm, *args.as_tuple(), algorithm=algorithm)
-    return run_spmd(prog, sizes.shape[0], machine=machine,
-                    trace=False).elapsed
+    return run_spmd(prog, sizes.shape[0],
+                    config=ExecutionConfig(machine=machine,
+                                           trace=False)).elapsed
 
 
 class TestUniformParity:
@@ -218,7 +222,6 @@ class TestRadixParity:
             send = np.zeros(p * n, dtype=np.uint8)
             recv = np.zeros(p * n, dtype=np.uint8)
             alltoall(comm, send, recv, n, algorithm=algorithm, radix=radix)
-        from repro.simmpi import ExecutionConfig
         return run_spmd(prog, p, config=ExecutionConfig(
             machine=machine, trace=False)).elapsed
 
@@ -227,7 +230,6 @@ class TestRadixParity:
             args = build_vargs(comm.rank, sizes)
             alltoallv(comm, *args.as_tuple(), algorithm=algorithm,
                       radix=radix)
-        from repro.simmpi import ExecutionConfig
         return run_spmd(prog, sizes.shape[0], config=ExecutionConfig(
             machine=machine, trace=False)).elapsed
 
