@@ -275,11 +275,16 @@ class BlockSizeState:
         Given the transpose instead, ``rows[i, r]`` is what rank ``r``
         *receives* from the rank ``i`` below it — the exchange seen from
         its destinations, where every block has already arrived.
+
+        ``rows`` takes the narrowest unsigned dtype that holds the largest
+        size (``uint8`` for N <= 255): readers widen before any arithmetic.
         """
         p = sizes.shape[0]
         if sizes.shape != (p, p):
             raise ValueError(f"size matrix must be square, got {sizes.shape}")
-        rows = np.empty((p, p), dtype=sizes.dtype)
+        # Narrowed first, so the strided diagonal reads below stay in cache.
+        sizes = sizes.astype(np.min_scalar_type(int(sizes.max(initial=0))))
+        rows = np.empty_like(sizes, order="C")
         for i in range(p):
             # Wrapped diagonal i: ranks r >= i hold sizes[r, r - i], ranks
             # r < i hold sizes[r, r - i + P].  Each half is one strided

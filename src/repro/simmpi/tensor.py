@@ -896,9 +896,16 @@ class _Engine:
 
 def _fold(clocks: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Left-fold ``times`` rows onto ``clocks`` with the same sequential
-    float additions as a ``+=`` loop (``np.add.accumulate``), chunked to
-    bound memory.  ``times`` has one row (shared) or one row per lane."""
+    float additions as a ``+=`` loop.  ``times`` has one row (shared) or
+    one row per lane.  Many lanes take one in-place add per column (as
+    :meth:`_Engine.fold_rows` does); a single lane runs
+    ``np.add.accumulate`` along its row, chunked to bound memory."""
     L = len(clocks)
+    if L > 1:
+        c = clocks.copy()
+        for col in times.T:
+            c += col
+        return c
     k = times.shape[1]
     c = clocks
     for s in range(0, k, _FOLD_CHUNK):
@@ -1124,7 +1131,7 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
     # substep moves, and the counts of one cache-sized piece of them.
     widest = max((len(sub.distances) for sub in subs), default=0)
     piece = max(1, _PIECE_BYTES // (8 * L))
-    counts = np.empty((min(piece, widest), L), dtype=np.int64)
+    counts = np.empty((min(piece, widest), L), dtype=state.rows.dtype)
     seconds = np.empty((widest, L), dtype=np.float64)
     for sub in subs:
         m = len(sub.distances)
@@ -1138,7 +1145,7 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
             for lo in range(0, m, piece):
                 dist = sub.distances[lo:lo + piece]
                 moving = state.read(dist, out=counts[:len(dist)])
-                out_total += moving.sum(axis=0)
+                out_total += moving.sum(axis=0, dtype=np.int64)
                 eng.copy_seconds(moving, out=seconds[lo:lo + len(dist)])
                 state.roll(dist, sub.jump, moving)
             eng.fold_rows(seconds[:m])                          # pack

@@ -1,12 +1,10 @@
 """Vectorized clock primitives for the analytic timing engine.
 
-:mod:`repro.simmpi` executes algorithms with one thread per rank — exact,
-but impractical beyond a few hundred ranks.  This module re-implements the
-*same* cost rules (see ``MachineProfile`` and DESIGN.md §5) as NumPy
+The cost rules of ``MachineProfile`` (DESIGN.md §5), written as NumPy
 recurrences over per-rank clock arrays, so the paper's 32K-process sweeps
-run in milliseconds.  Integration tests assert bit-equality between the two
-engines at small ``P`` (exact mode), which pins every constant here to the
-functional simulator.
+run in milliseconds.  Integration tests assert bit-equality with
+:mod:`repro.simmpi` at small ``P`` (exact mode), which pins every constant
+here to the functional simulator.
 
 The receive rule everywhere is the simulator's::
 
@@ -50,7 +48,8 @@ def head_latency_vec(machine: MachineProfile, nbytes: ArrayLike,
     ``nbytes`` (per-message tier selection in the hierarchical model).
     """
     nbytes = np.asarray(nbytes, dtype=np.float64)
-    a = np.where(intra, machine.alpha_intra, machine.alpha)
+    a = machine.alpha if intra is False \
+        else np.where(intra, machine.alpha_intra, machine.alpha)
     return a * (1.0 + (nbytes > machine.eager_threshold))
 
 
@@ -63,8 +62,12 @@ def serial_time_vec(machine: MachineProfile, nbytes: ArrayLike,
     the scalar method (same association order) so the two stay bit-equal.
     """
     nbytes = np.asarray(nbytes, dtype=np.float64)
-    rate = np.where(intra, machine.beta_intra, machine.beta_eff(nprocs))
-    factor = np.where(intra, machine.eager_factor_intra, machine.eager_factor)
+    if intra is False:
+        rate, factor = machine.beta_eff(nprocs), machine.eager_factor
+    else:
+        rate = np.where(intra, machine.beta_intra, machine.beta_eff(nprocs))
+        factor = np.where(intra, machine.eager_factor_intra,
+                          machine.eager_factor)
     eager = np.minimum(nbytes, machine.eager_threshold)
     return rate * (factor * eager + (nbytes - eager))
 
@@ -104,23 +107,23 @@ def datatype_time_vec(machine: MachineProfile, nblocks: ArrayLike,
 
 
 def _exchange(clocks: np.ndarray, machine: MachineProfile, nprocs: int,
-              src_index: np.ndarray, nbytes_out: ArrayLike) -> np.ndarray:
+              src_offset: int, nbytes_out: ArrayLike) -> np.ndarray:
     """Shared isend → irecv → wait recurrence.
 
-    Rank ``p`` receives the message sent by ``src_index[p]``, whose size is
-    ``nbytes_out[src_index[p]]``::
+    Rank ``p`` receives the message sent by ``src = (p + src_offset) % P``,
+    whose size is ``nbytes_out[src]``; the partner read is a roll, not a
+    gather::
 
         depart[p] = clocks[p] + o_send
         posted[p] = depart[p] + o_recv
         clocks[p] = max(posted[p],
                         depart[src] + head(n_src)) + serial(n_src)
     """
-    p = len(clocks)
     depart = clocks + machine.o_send
-    nbytes_out = np.broadcast_to(np.asarray(nbytes_out, dtype=np.float64),
-                                 (p,))
-    n_src = nbytes_out[src_index]
-    head = depart[src_index] + head_latency_vec(machine, n_src)
+    n_src = np.asarray(nbytes_out, dtype=np.float64)
+    if n_src.ndim:
+        n_src = np.roll(n_src, -src_offset)
+    head = np.roll(depart, -src_offset) + head_latency_vec(machine, n_src)
     return np.maximum(depart + machine.o_recv, head) \
         + serial_time_vec(machine, n_src, nprocs)
 
@@ -129,8 +132,7 @@ def bruck_step(clocks: np.ndarray, machine: MachineProfile, nprocs: int,
                send_offset: int, nbytes_out: ArrayLike) -> np.ndarray:
     """One exchange in Bruck orientation: rank ``p`` sends to
     ``(p - send_offset) % P`` and receives from ``(p + send_offset) % P``."""
-    src = (np.arange(len(clocks)) + send_offset) % nprocs
-    return _exchange(clocks, machine, nprocs, src, nbytes_out)
+    return _exchange(clocks, machine, nprocs, send_offset, nbytes_out)
 
 
 def sendrecv_rounds(clocks: np.ndarray, machine: MachineProfile, nprocs: int,
@@ -138,8 +140,7 @@ def sendrecv_rounds(clocks: np.ndarray, machine: MachineProfile, nprocs: int,
     """One symmetric round in dissemination orientation: rank ``p`` sends
     to ``(p + send_offset) % P`` and receives from ``(p - send_offset) % P``
     (barrier / allreduce)."""
-    src = (np.arange(len(clocks)) - send_offset) % nprocs
-    return _exchange(clocks, machine, nprocs, src, nbytes)
+    return _exchange(clocks, machine, nprocs, -send_offset, nbytes)
 
 
 def dissemination_allreduce_cost(clocks: np.ndarray, machine: MachineProfile,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.common import BlockSizeState, bruck_substeps
 from ..core.registry import get_algorithm
@@ -48,6 +49,7 @@ __all__ = ["TimingResult", "predict_alltoallv", "NONUNIFORM_PREDICTABLE",
 EXACT_LIMIT = 2048
 
 _ROT_INDEX_COST_PER_PROC = 1.0e-9  # matches the functional implementations
+_PRICE_ELEMS = 1 << 16  # spread-out arrivals priced per chunk of offsets
 _META_ENTRY_BYTES = 4.0
 
 NONUNIFORM_PREDICTABLE = (
@@ -158,10 +160,13 @@ def _two_phase_exact(machine: MachineProfile, sizes: np.ndarray,
         clocks = bruck_step(clocks, machine, p, sub.jump,
                             _META_ENTRY_BYTES * len(sub.distances))
         # Integer column sums over the moving rows: per-rank bytes and
-        # non-empty block count (order-free, so exact in any layout).
+        # non-empty block count (order-free, so exact in any layout),
+        # widened from the state's narrow dtype before they add.  A count
+        # never exceeds P, so a uint32 accumulator holds it; it is about
+        # twice as fast as count_nonzero's intp one.
         moving = state.read(sub.distances)
-        bytes_out = moving.sum(axis=0).astype(np.float64)
-        nz_out = np.count_nonzero(moving, axis=0).astype(np.float64)
+        bytes_out = moving.sum(axis=0, dtype=np.int64).astype(np.float64)
+        nz_out = (moving != 0).sum(axis=0, dtype=np.uint32).astype(np.float64)
         clocks = clocks + copy_time_blocks(machine, nz_out, bytes_out)  # pack
         clocks = bruck_step(clocks, machine, p, sub.jump, bytes_out)
         # unpack what the rank `jump` above packed: the same roll the
@@ -236,11 +241,11 @@ def _vendor_alltoall_clocks(machine: MachineProfile, p: int, block_n: int,
         return base
     head = machine.head_latency(block_n)
     st = machine.serial_time(block_n, p)
-    ranks = np.arange(p)
+    sender_base = np.concatenate([base, base])  # [p - off:][r] = base[r - off]
     c = base + (p - 1) * machine.o_send  # all sends posted
     for off in range(1, p):
-        src = (ranks - off) % p
-        c = np.maximum(c, base[src] + off * machine.o_send + head) + st
+        c = np.maximum(c, sender_base[p - off:2 * p - off]
+                       + off * machine.o_send + head) + st
     return c
 
 
@@ -267,14 +272,20 @@ def _spread_out_exact(machine: MachineProfile, sizes: np.ndarray,
     if p == 1:
         return float(clocks.max())
     base = clocks + (p - 1) * machine.o_recv
-    sender_base = np.concatenate([base, base])  # [p - off:][r] = base[r - off]
+    # Row p - off of the windows is base[r - off]: the sender's base.
+    senders = sliding_window_view(np.concatenate([base, base]), p)
     c = base + (p - 1) * machine.o_send
-    for off in range(1, p):
-        nb = arriving[off]
-        c = np.maximum(c, sender_base[p - off:2 * p - off]
-                       + off * machine.o_send
-                       + head_latency_vec(machine, nb)) \
-            + serial_time_vec(machine, nb, p)
+    # Arriving sizes are priced a chunk of offsets at a time; the
+    # receive recurrence still retires them one offset after another.
+    width = max(1, _PRICE_ELEMS // p)
+    for lo in range(1, p, width):
+        offs = np.arange(lo, min(lo + width, p))
+        nb = arriving[lo:lo + len(offs)]
+        ready = senders[p - offs] + (offs * machine.o_send)[:, None] \
+            + head_latency_vec(machine, nb)
+        for a, serial in zip(ready, serial_time_vec(machine, nb, p)):
+            np.maximum(c, a, out=c)
+            c += serial
     return float(c.max())
 
 
@@ -335,7 +346,6 @@ def _two_phase_clt(machine: MachineProfile, p: int,
         return float(clocks.max())
     clocks = clocks + copy_time_vec(machine, dist.sample(rng, p))
     q_nz = 1.0 - _prob_zero(dist)
-    ranks = np.arange(p)
     for sub in bruck_substeps(p, radix):
         m = len(sub.distances)
         clocks = bruck_step(clocks, machine, p, sub.jump,
@@ -344,9 +354,9 @@ def _two_phase_clt(machine: MachineProfile, p: int,
         nz_out = rng.binomial(m, q_nz, size=p).astype(np.float64)
         clocks = clocks + copy_time_blocks(machine, nz_out, bytes_out)
         clocks = bruck_step(clocks, machine, p, sub.jump, bytes_out)
-        src = (ranks + sub.jump) % p
-        clocks = clocks + copy_time_blocks(machine, nz_out[src],
-                                           bytes_out[src])
+        clocks = clocks + copy_time_blocks(machine,
+                                           np.roll(nz_out, -sub.jump),
+                                           np.roll(bytes_out, -sub.jump))
     return float(clocks.max())
 
 
@@ -433,7 +443,7 @@ def _serial_moments(machine: MachineProfile, dist: BlockSizeDistribution,
         scale = beta * ef
         return scale * dist.mean, scale * scale * dist.variance
     # Mixed regime without a tabulated pmf: fall back to a small sample.
-    sample = np.random.default_rng(0).integers(0, dist.max_block + 1, 4096)
+    sample = dist.sample(np.random.default_rng(0), 4096)
     eager = np.minimum(sample, thr).astype(np.float64)
     s = beta * (ef * eager + (sample - eager))
     return float(s.mean()), float(s.var())

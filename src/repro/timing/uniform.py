@@ -5,7 +5,7 @@ work against identical partners, so all simulated clocks advance in
 lock-step and the per-rank recurrence collapses to a scalar recursion —
 ``arrival == own_depart + wire`` because the partner's depart equals ours.
 That makes 32K-rank predictions O(log P) scalar work, while remaining
-*bit-identical* to the thread simulator at small P (asserted in the
+*bit-identical* to the functional simulator at small P (asserted in the
 integration tests).
 
 Each predictor returns a :class:`UniformTiming` with the same phase split

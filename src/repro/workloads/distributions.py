@@ -132,6 +132,10 @@ class WindowedUniformBlocks(BlockSizeDistribution):
                 f"{lo_pct:.0f}-{self.r_percent:.0f}, mean={self.mean:.1f})")
 
 
+_BUCKETS = 1 << 14         # equal-width uniform buckets of the sampler
+_SAMPLE_CHUNK = 1 << 16    # uniforms drawn per chunk
+
+
 class _TabulatedDistribution(BlockSizeDistribution):
     """Helper base: explicit pmf over {0..N}; exact moments; fast sampling."""
 
@@ -143,6 +147,13 @@ class _TabulatedDistribution(BlockSizeDistribution):
             raise ValueError(f"degenerate pmf for {self.name} (N={max_block})")
         self._pmf = pmf / total
         self._cdf = np.cumsum(self._pmf)
+        # Bucket b covers u in [b/B, (b+1)/B).  With no cdf edge inside it,
+        # every such u has the same searchsorted answer (its left edge's);
+        # buckets with an edge are marked -1 and searched per draw.
+        edges = np.arange(_BUCKETS + 1) / _BUCKETS
+        first = np.searchsorted(self._cdf, edges[:-1], side="right")
+        last = np.searchsorted(self._cdf, edges[1:], side="left")
+        self._bucket = np.where(first == last, first, -1)
         support = np.arange(self.max_block + 1, dtype=np.float64)
         self._mean = float((support * self._pmf).sum())
         self._var = float(((support - self._mean) ** 2 * self._pmf).sum())
@@ -151,11 +162,22 @@ class _TabulatedDistribution(BlockSizeDistribution):
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        # searchsorted already returns the platform index type (int64
-        # here): only convert, with a copy, where it is something else.
-        return np.searchsorted(self._cdf, u, side="right").astype(
-            np.int64, copy=False)
+        """Inverse-cdf draws (``searchsorted(cdf, u, side="right")``),
+        resolved through the bucket table and drawn a chunk at a time
+        straight into the output; chunked ``rng.random`` continues the
+        one-shot stream, so the draws are the same."""
+        out = np.empty(size, dtype=np.int64)
+        u = np.empty(min(size, _SAMPLE_CHUNK))
+        for lo in range(0, size, _SAMPLE_CHUNK):
+            part = u[:min(_SAMPLE_CHUNK, size - lo)]
+            dst = out[lo:lo + len(part)]
+            rng.random(out=part)
+            # u * 2^14 is exact, so truncation is the true bucket index.
+            idx = (part * _BUCKETS).astype(np.intp)
+            np.take(self._bucket, idx, out=dst, mode="clip")
+            miss = np.flatnonzero(dst < 0)
+            dst[miss] = np.searchsorted(self._cdf, part[miss], side="right")
+        return out
 
     @property
     def mean(self) -> float:

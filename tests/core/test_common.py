@@ -308,11 +308,64 @@ class TestBlockSizeState:
         sizes = np.arange(49).reshape(7, 7)
         state = BlockSizeState.from_matrix(sizes)
         sub = bruck_substeps(7, 2)[1]
-        scratch = np.full((5, 7), -1)
+        # Scratch takes the state's narrow dtype; its max is the sentinel.
+        sentinel = np.iinfo(state.rows.dtype).max
+        scratch = np.full((5, 7), sentinel, dtype=state.rows.dtype)
         got = state.read(sub.distances, out=scratch[:len(sub.distances)])
         assert np.shares_memory(got, scratch)
         assert np.array_equal(got, state.rows[sub.distances])
-        assert (scratch[len(sub.distances):] == -1).all()
+        assert (scratch[len(sub.distances):] == sentinel).all()
+
+    @given(p=st.integers(1, 64), r=st.sampled_from([2, 3, 4]),
+           max_block=st.sampled_from([0, 1, 255, 256, 65535, 65536,
+                                      2 ** 32]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_narrow_rows_change_no_prediction(self, p, r, max_block, seed):
+        from repro.core.common import BlockSizeState
+        from repro.simmpi import THETA, ExecutionConfig, run_spmd
+        from repro.simmpi.tensor import TensorAlltoallv
+        from repro.timing import nonuniform
+        from repro.workloads import UniformBlocks
+
+        class Int64State(BlockSizeState):
+            """The reference: full-width rows from the closed form."""
+
+            @classmethod
+            def from_matrix(cls, sizes):
+                n = sizes.shape[0]
+                i, rank = np.ogrid[:n, :n]
+                return cls(sizes.astype(np.int64)[rank, (rank - i) % n])
+
+        # Mostly tiny blocks, a few at the maximum: the widest value sets
+        # the dtype while functional runs stay cheap.
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(0, min(max_block, 3) + 1, (p, p))
+        sizes.flat[rng.integers(0, p * p, 1 + p // 8)] = max_block
+        state = BlockSizeState.from_matrix(sizes)
+        reference = Int64State.from_matrix(sizes)
+        assert state.rows.dtype == np.min_scalar_type(max_block)
+        assert np.array_equal(state.rows, reference.rows)
+
+        def predict(name):
+            return nonuniform.predict_alltoallv(
+                name, THETA, p, UniformBlocks(max_block), mode="exact",
+                radix=r if name == "two_phase_bruck" else 2,
+                sizes=sizes).elapsed
+
+        narrow = {name: predict(name)
+                  for name in ("two_phase_bruck", "spread_out")}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nonuniform, "BlockSizeState", Int64State)
+            assert narrow == {name: predict(name) for name in narrow}
+        # A 4 GiB block is past what a functional run can allocate; every
+        # other width runs the L=P tensor lanes against the coop kernel.
+        if max_block < 2 ** 32:
+            spec = TensorAlltoallv("two_phase_bruck", sizes, radix=r)
+            clocks = [run_spmd(spec, p, config=ExecutionConfig(
+                machine=THETA, trace=False, wire="phantom",
+                backend=backend)).clocks for backend in ("coop", "tensor")]
+            assert clocks[0] == clocks[1]
 
     def test_single_lane_never_rolls(self):
         from repro.core.common import BlockSizeState, bruck_substeps

@@ -67,6 +67,22 @@ class TestSerialMoments:
         assert mean == pytest.approx(s.mean(), rel=0.03)
         assert var == pytest.approx(s.var(), rel=0.08, abs=1e-18)
 
+    def test_windowed_mixed_regime_keeps_its_window(self):
+        # Past the eager threshold without a tabulated pmf, the moments
+        # come from a sample — which must be drawn from the window, not
+        # from the full [0, N] range.
+        windowed = WindowedUniformBlocks(16384, 10)
+        assert windowed.low > THETA.eager_threshold
+        got = _serial_moments(THETA, windowed, 256)
+        full = _serial_moments(THETA, UniformBlocks(16384), 256)
+        assert got[0] > 1.3 * full[0]
+        x = windowed.sample(np.random.default_rng(3), 100_000)
+        direct = THETA.beta_eff(256) * (
+            THETA.eager_factor * THETA.eager_threshold
+            + (x - THETA.eager_threshold))
+        assert got[0] == pytest.approx(direct.mean(), rel=0.01)
+        assert got[1] == pytest.approx(direct.var(), rel=0.08)
+
     def test_all_eager_shortcut(self):
         # Uniform without a tabulated pmf and max_block below threshold
         # uses the closed-form branch.

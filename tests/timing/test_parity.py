@@ -1,5 +1,5 @@
 """The load-bearing integration tests: the analytic timing engine must be
-*bit-identical* to the functional thread simulator at small P (exact mode)
+*bit-identical* to the functional simulator at small P (exact mode)
 and statistically consistent in CLT mode.
 
 These tests pin every constant of :mod:`repro.timing` to

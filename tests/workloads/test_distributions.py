@@ -103,9 +103,8 @@ class TestDeterminism:
         (NormalBlocks(100), [64, 65, 51, 41, 23, 45, 46, 22, 22, 100, 57, 38]),
     ], ids=lambda v: v.describe() if hasattr(v, "describe") else "")
     def test_tabulated_samples_pinned(self, dist, expect):
-        # Inverse-CDF sampling hands back searchsorted's own int64 array
-        # (no second P^2 copy); dtype and draws are pinned to the values
-        # the copying version produced.
+        # Inverse-CDF draws come back as int64; dtype and draws are
+        # pinned to the values the first version produced.
         got = dist.sample(np.random.default_rng(5), 12)
         assert got.dtype == np.int64
         assert got.tolist() == expect
@@ -162,3 +161,62 @@ class TestProperties:
         d = WindowedUniformBlocks(n, r)
         assert d.mean == pytest.approx((d.low + n) / 2)
         assert 0 <= d.low <= n
+
+
+class _Uniforms:
+    """Stands in for a Generator: hands out the given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+        self.pos = 0
+
+    def random(self, out):
+        out[:] = self.u[self.pos:self.pos + len(out)]
+        self.pos += len(out)
+        return out
+
+
+TABULATED = [PowerLawBlocks(32), PowerLawBlocks(2048), NormalBlocks(256),
+             NormalBlocks(7)]
+
+
+class TestBucketedSampler:
+    """The bucket table is a shortcut through ``searchsorted``: every draw
+    must be the one the plain inverse-cdf search gives."""
+
+    @pytest.mark.parametrize("p", [1, 33, 1000])
+    @pytest.mark.parametrize("dist", TABULATED, ids=lambda d: d.describe())
+    def test_matrix_matches_searchsorted(self, dist, p):
+        for seed in range(3):
+            u = np.random.default_rng(seed).random(p * p)
+            expect = np.searchsorted(dist._cdf, u, side="right")
+            got = block_size_matrix(dist, p, seed=seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expect.reshape(p, p))
+
+    @pytest.mark.parametrize("dist", TABULATED + [NormalBlocks(0)],
+                             ids=lambda d: d.describe())
+    def test_cdf_and_bucket_edges(self, dist):
+        edges = np.arange(1 << 14) / (1 << 14)
+        cdf = dist._cdf[dist._cdf < 1.0]
+        u = np.concatenate([edges, np.nextafter(edges, 1.0),
+                            np.nextafter(edges, 0.0), cdf,
+                            np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                            [np.nextafter(1.0, 0.0)]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = dist.sample(_Uniforms(u), len(u))
+        assert np.array_equal(got, np.searchsorted(dist._cdf, u,
+                                                   side="right"))
+
+    def test_draws_chunk_by_chunk(self):
+        # The output is the only P^2 array: uniforms are drawn a chunk at
+        # a time (a one-shot draw plus searchsorted peaks at twice this).
+        import tracemalloc
+        dist = PowerLawBlocks(32)
+        tracemalloc.start()
+        try:
+            sizes = block_size_matrix(dist, 2048, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sizes.nbytes
