@@ -9,11 +9,16 @@ all of that with a *cooperative* design:
 * Each rank is a **tasklet** — a suspended continuation of the rank's
   program.  CPython cannot suspend an arbitrary call stack from pure Python
   (that is what C extensions like ``greenlet`` exist for), so each tasklet
-  carries its stack on a parked daemon thread with a tiny stack allocation;
-  the thread is purely a continuation holder.  **Exactly one tasklet (or
-  the scheduler loop) runs at any instant** — handoff is two event signals,
-  there is never lock contention, and the network fast path below takes no
-  locks at all.
+  carries its stack on a parked carrier thread with a tiny stack
+  allocation; the thread is purely a continuation holder.  Carriers are
+  raw ``_thread`` threads (no ``Thread`` start handshake), so they do not
+  appear in :func:`threading.enumerate`.  **Exactly one tasklet (or the
+  scheduler loop) runs at any instant.**  A parked carrier holds its own
+  acquired lock and parks on ``acquire()``; the rank that blocks or
+  finishes pops the next ``(clock, rank)`` itself and resumes it with one
+  ``release()`` — one OS wake-up per switch, never any lock contention, and
+  the network fast path below takes no locks at all.  The loop thread only
+  starts the run and wakes when every rank finished or none is runnable.
 * The scheduler's run queue is ordered by **(simulated clock, rank id)**,
   so execution order is a pure function of the program's communication
   structure: re-running the same program replays the identical schedule.
@@ -40,6 +45,7 @@ lazily, the first time a rank is scheduled.
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import threading
 from collections import deque
@@ -66,18 +72,18 @@ class _Tasklet:
 
     The carrier thread is started lazily on first schedule and exits when
     the rank's program returns or unwinds; in between it is parked on
-    ``resume_evt`` whenever the rank is not the running one.
+    ``lock`` (held, so ``acquire()`` parks and ``release()`` resumes)
+    whenever the rank is not the running one.
     """
 
-    __slots__ = ("rank", "body", "thread", "resume_evt", "started", "finished")
+    __slots__ = ("rank", "body", "lock", "started")
 
     def __init__(self, rank: int, body: Callable[[], None]) -> None:
         self.rank = rank
         self.body = body
-        self.thread: Optional[threading.Thread] = None
-        self.resume_evt = threading.Event()
+        self.lock = _thread.allocate_lock()
+        self.lock.acquire()
         self.started = False
-        self.finished = False
 
 
 class CoopScheduler:
@@ -107,7 +113,12 @@ class CoopScheduler:
         self._blocked_clock: Dict[int, float] = {}
         self._unfinished = 0
         self._current: Optional[_Tasklet] = None
-        self._sched_evt = threading.Event()
+        # The loop thread parks on this (held) lock while ranks pass the
+        # baton among themselves.
+        self._loop_lock = _thread.allocate_lock()
+        self._loop_lock.acquire()
+        self._unwinding = False
+        self._start_error: Optional[BaseException] = None
         self._running = False
 
     # ------------------------------------------------------------------
@@ -130,10 +141,9 @@ class CoopScheduler:
         comm = self._comms.get(t.rank)
         self._blocked_clock[t.rank] = comm.clock if comm is not None else 0.0
         self._blocked.setdefault(key, deque()).append(t.rank)
-        # Hand the baton to the scheduler and park.
-        self._sched_evt.set()
-        t.resume_evt.wait()
-        t.resume_evt.clear()
+        # Hand the baton straight to the next runnable rank and park.
+        self._handoff()
+        t.lock.acquire()
 
     def notify_key(self, key: ChannelKey) -> None:
         """A message landed on ``key``: make its oldest waiter runnable."""
@@ -169,13 +179,16 @@ class CoopScheduler:
         self._unfinished = self.nprocs
         self._runnable = [(0.0, rank) for rank in range(self.nprocs)]
         # Already sorted (equal clocks, ascending rank) — valid heap.
+        self._unwinding = False
+        self._start_error = None
         old_stack = self._set_carrier_stack_size()
         try:
-            while self._unfinished:
-                if not self._runnable:
-                    self._raise_deadlock(network)
-                _, rank = heapq.heappop(self._runnable)
-                self._switch_to(self._tasklets[rank])
+            self._handoff()
+            self._loop_lock.acquire()  # every rank finished, or none can run
+            if self._start_error is not None:
+                self._unwind(network, self._start_error)
+            if self._unfinished:
+                self._unwind(network, self._deadlock_error(network))
         finally:
             self._restore_stack_size(old_stack)
             self._running = False
@@ -201,39 +214,43 @@ class CoopScheduler:
         except (ValueError, RuntimeError, OverflowError):  # pragma: no cover
             pass
 
-    def _switch_to(self, t: _Tasklet) -> None:
-        """Run ``t`` until it yields (blocks) or finishes."""
-        self._current = t
-        if not t.started:
-            t.started = True
-            t.thread = threading.Thread(
-                target=self._bootstrap, args=(t,),
-                name=f"coop-rank-{t.rank}", daemon=True)
-            t.thread.start()
+    def _handoff(self) -> None:
+        """Pass the baton: resume the next runnable rank, or wake the loop
+        thread when every rank finished, none is runnable (the deadlock
+        proof) or the run is being unwound."""
+        if self._unfinished and self._runnable and not self._unwinding:
+            _, rank = heapq.heappop(self._runnable)
+            self._resume(self._tasklets[rank])
         else:
-            t.resume_evt.set()
-        self._sched_evt.wait()
-        self._sched_evt.clear()
-        self._current = None
+            self._current = None
+            self._loop_lock.release()
+
+    def _resume(self, t: _Tasklet) -> None:
+        """Make ``t`` the running rank: start its carrier or unpark it."""
+        self._current = t
+        if t.started:
+            t.lock.release()
+            return
+        try:
+            _thread.start_new_thread(self._bootstrap, (t,))
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            self._start_error = exc
+            self._current = None
+            self._loop_lock.release()
 
     def _bootstrap(self, t: _Tasklet) -> None:
+        t.started = True
         try:
             t.body()
         finally:
-            t.finished = True
             self._unfinished -= 1
-            self._sched_evt.set()
+            self._handoff()
 
     # ------------------------------------------------------------------
-    # exact deadlock detection
+    # exact deadlock detection and teardown
     # ------------------------------------------------------------------
-    def _raise_deadlock(self, network: Network) -> None:
-        """No runnable rank, unfinished ranks remain: provably stuck.
-
-        Composes the diagnostic, then tears the job down (shutdown flag +
-        wake) so every parked continuation unwinds and its carrier thread
-        exits before the error propagates.
-        """
+    def _deadlock_error(self, network: Network) -> DeadlockError:
+        """No runnable rank, unfinished ranks remain: provably stuck."""
         waits = []
         for (src, dst, tag), waiters in sorted(self._blocked.items()):
             for rank in waiters:
@@ -241,17 +258,28 @@ class CoopScheduler:
                     f"rank {rank} waiting on src={src} tag={tag} "
                     f"at simulated clock {self._blocked_clock[rank]:.6g}"
                 )
-        message = (
+        return DeadlockError(
             f"SPMD run deadlocked ({self._unfinished} of {self.nprocs} "
             f"ranks blocked with no runnable peer):\n  "
             + ";\n  ".join(waits)
             + f"\n{network.pending_summary()}"
         )
+
+    def _unwind(self, network: Network, error: BaseException) -> None:
+        """Tear the job down (shutdown flag + wake) so every started
+        continuation unwinds and its carrier exits, then raise ``error``.
+
+        Each unwinding rank hands control back here instead of to a peer,
+        so the loop resumes them one at a time in (clock, rank) order.
+        """
+        self._unwinding = True
         network.shutdown()  # flags the fabric; wakes the blocked ranks
         while self._unfinished and self._runnable:
             _, rank = heapq.heappop(self._runnable)
-            self._switch_to(self._tasklets[rank])
-        raise DeadlockError(message)
+            if self._tasklets[rank].started:
+                self._resume(self._tasklets[rank])
+                self._loop_lock.acquire()
+        raise error
 
 
 class CoopNetwork(Network):
