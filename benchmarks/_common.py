@@ -63,14 +63,14 @@ def once(benchmark, fn):
 
 
 def run_alltoallv(algorithm: str, sizes, machine: MachineProfile = THETA,
-                  trace=True, timeout: float = 300.0,
-                  backend: str = "threads", wire: str = "phantom", **kwargs):
+                  trace=True, backend: str = "coop", wire: str = "phantom",
+                  **kwargs):
     """Functional run of one registered non-uniform algorithm.
 
     ``algorithm`` resolves through :mod:`repro.core.registry`; extra
     keyword arguments go to the implementation (e.g. ``group_size`` for
-    the grouped scheme).  ``backend`` selects the executor (``"coop"``
-    for large-P runs).  Returns the :class:`~repro.simmpi.SPMDResult`.
+    the grouped scheme).  ``backend`` selects the executor.  Returns the
+    :class:`~repro.simmpi.SPMDResult`.
 
     The benchmarks are simulated-clock artifacts, so the default wire
     mode is ``"phantom"`` (size-only transport; clocks bit-identical to
@@ -84,8 +84,8 @@ def run_alltoallv(algorithm: str, sizes, machine: MachineProfile = THETA,
         vargs = build_vargs(comm.rank, sizes, fill=fill)
         fn(comm, *vargs.as_tuple(), **kwargs)
 
-    config = ExecutionConfig(machine=machine, trace=trace, timeout=timeout,
-                             backend=backend, wire=wire)
+    config = ExecutionConfig(machine=machine, trace=trace, backend=backend,
+                             wire=wire)
     return run_spmd(prog, sizes.shape[0], config=config)
 
 

@@ -1,17 +1,13 @@
-"""Executor scaling — threads vs coop vs the vectorized tensor backend.
+"""Executor scaling — coop vs the vectorized tensor backend.
 
-Host wall-clock time of the same functional two-phase Bruck run under all
-three ``run_spmd`` backends across P.  Expected shape: comparable cost at
-small P (the coop backend's handoff switches vs the thread backend's
-condition-variable wakeups roughly cancel, and the tensor backend's
-array-op overhead is amortized over too few ranks to matter), then the
-thread backend's O(P) ``notify_all`` storms blow up past ``THREAD_MAX``,
-the coop backend's O(P × program length) host work grows linearly, and
-the tensor backend — whose host work per communication step is a handful
-of array ops over all ranks — pulls ahead (the coop→tensor crossover)
-and alone reaches the P ≥ 2048 region on its way to the paper-scale
-P=32K CI smoke.  Simulated clocks are asserted bit-identical wherever
-backends overlap: the speedup is free of semantic drift.
+Host wall-clock time of the same functional two-phase Bruck run under both
+``run_spmd`` backends across P.  Expected shape: the coop backend's
+O(P × program length) host work grows linearly, and the tensor backend —
+whose host work per communication step is a handful of array ops over
+all ranks — pulls ahead (the coop→tensor crossover) and alone reaches the
+P ≥ 2048 region on its way to the paper-scale P=32K CI smoke.  Simulated
+clocks are asserted bit-identical wherever backends overlap: the speedup
+is free of semantic drift.
 """
 
 import time
@@ -24,14 +20,13 @@ from _common import once, run_alltoallv, save_report
 
 N = 32
 PROCS = (32, 64, 128, 256, 512, 1024, 2048, 4096)
-THREAD_MAX = 256
 COOP_MAX = 1024
 ALGORITHM = "two_phase_bruck"
 
 
 def _timed(algorithm, sizes, backend):
-    # threads/coop are pinned to the bytes wire: this bench measures how
-    # the executors scale under real transport work (bench_wire_modes
+    # coop is pinned to the bytes wire: this bench measures how the
+    # per-rank executor scales under real transport work (bench_wire_modes
     # covers phantom).  The tensor backend is size-only by construction —
     # phantom-wire clocks are bit-identical to bytes (proven in
     # tests/simmpi/test_backend_equivalence.py), so the columns compare.
@@ -61,35 +56,28 @@ def test_backend_scaling(benchmark):
                 assert coop_res.clocks == tens_res.clocks
             else:
                 coop_wall = None
-            if p <= THREAD_MAX:
-                thr_wall, thr_res = _timed(ALGORITHM, sizes, "threads")
-                assert thr_res.clocks == tens_res.clocks
-            else:
-                thr_wall = None
-            rows.append((p, thr_wall, coop_wall, tens_wall, tens_res))
+            rows.append((p, coop_wall, tens_wall, tens_res))
         return rows
 
     rows = once(benchmark, run)
     lines = [f"executor scaling: {ALGORITHM}, power-law N={N} "
              f"(Theta profile, host wall seconds)",
-             f"{'P':>6} {'threads(s)':>11} {'coop(s)':>9} "
-             f"{'tensor(s)':>10} {'simulated(ms)':>14} {'messages':>9}"]
-    for p, thr_wall, coop_wall, tens_wall, res in rows:
-        thr = f"{thr_wall:.3f}" if thr_wall is not None else "n/a"
+             f"{'P':>6} {'coop(s)':>9} {'tensor(s)':>10} "
+             f"{'simulated(ms)':>14} {'messages':>9}"]
+    for p, coop_wall, tens_wall, res in rows:
         coop = f"{coop_wall:.3f}" if coop_wall is not None else "n/a"
-        lines.append(f"{p:>6} {thr:>11} {coop:>9} {tens_wall:>10.3f} "
+        lines.append(f"{p:>6} {coop:>9} {tens_wall:>10.3f} "
                      f"{res.elapsed * 1e3:>14.4f} {res.total_messages:>9}")
     lines.append("")
-    lines.append(f"threads backend not attempted past P={THREAD_MAX}, "
-                 f"coop past P={COOP_MAX} (practical per-rank-program "
-                 f"limits); the tensor backend continues to "
-                 f"P={PROCS[-1]} here and to P=32768 in the "
+    lines.append(f"coop backend not attempted past P={COOP_MAX} (practical "
+                 f"per-rank-program limit); the tensor backend continues "
+                 f"to P={PROCS[-1]} here and to P=32768 in the "
                  f"tensor-scale-smoke CI job.")
 
     # The whole point: the tensor backend completes the out-of-reach
     # sizes, and somewhere in the overlap region it overtakes coop.
-    assert rows[-1][0] > COOP_MAX and rows[-1][3] > 0
-    overlap = [(p, c, t) for p, _, c, t, _ in rows if c is not None]
+    assert rows[-1][0] > COOP_MAX and rows[-1][2] > 0
+    overlap = [(p, c, t) for p, c, t, _ in rows if c is not None]
     assert any(t < c for _, c, t in overlap), \
         "tensor never beat coop in the overlap region"
     data = {
@@ -98,7 +86,6 @@ def test_backend_scaling(benchmark):
         "machine": "theta",
         "rows": [
             {"nprocs": p,
-             "threads_wall_s": thr_wall,
              "coop_wall_s": coop_wall,
              "tensor_wall_s": tens_wall,
              "simulated_s": res.elapsed,
@@ -107,6 +94,6 @@ def test_backend_scaling(benchmark):
              "max_in_flight": res.metrics.max_in_flight,
              "queue_wait_total_s": res.metrics.queue_wait_total,
              "attribution": res.critical_path().bucket_totals()}
-            for p, thr_wall, coop_wall, tens_wall, res in rows],
+            for p, coop_wall, tens_wall, res in rows],
     }
     save_report("backend_scaling", "\n".join(lines), data=data)

@@ -34,7 +34,7 @@ def _run(algorithm, sizes, *, fault_plan, on_fault, reliability=None):
         vargs = build_vargs(comm.rank, sizes, fill=False)
         fn(comm, *vargs.as_tuple())
 
-    config = ExecutionConfig(machine=THETA, trace="metrics", timeout=300,
+    config = ExecutionConfig(machine=THETA, trace="metrics",
                              backend="coop", wire="phantom",
                              fault_plan=fault_plan, fault_seed=SEED,
                              on_fault=on_fault, reliability=reliability)

@@ -1,6 +1,6 @@
 """Fig. 11 — transitive closure strong scaling (functional runs).
 
-Runs the real distributed TC application on the thread-based simulator for
+Runs the real distributed TC application on the per-rank simulator for
 both graph archetypes and both alltoallv implementations.  Scaled down
 from the paper's 256–2048 ranks to 8–48 simulated ranks (the per-iteration
 load contrast that drives the figure is preserved by the generators; see

@@ -4,7 +4,7 @@ The paper claims two-phase Bruck improves on SLOAV by (1) decoupling
 metadata from data, (2) replacing the growable temp/pointer-array store
 with a monolithic buffer, (3) removing the final rotation, and (4)
 removing the final scan.  This bench runs both *functionally* on the
-thread simulator and reports where the streamlining pays off: SLOAV's
+per-rank simulator and reports where the streamlining pays off: SLOAV's
 overheads grow with the data volume (extra copy passes), two-phase's
 fixed cost is one allreduce, so two-phase pulls ahead as P·N grows.
 """

@@ -53,7 +53,7 @@ def _run(nprocs, sizes, *, reliability, on_fault, fault_plan):
         vargs = build_vargs(comm.rank, sizes, fill=False)
         fn(comm, *vargs.as_tuple())
 
-    config = ExecutionConfig(machine=THETA, trace="metrics", timeout=300,
+    config = ExecutionConfig(machine=THETA, trace="metrics",
                              backend="coop", wire="phantom",
                              fault_plan=fault_plan, fault_seed=FAULT_SEED,
                              on_fault=on_fault, reliability=reliability)

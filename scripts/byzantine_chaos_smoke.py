@@ -17,7 +17,7 @@ in two regimes, under one wall budget:
      blind — injections land, zero detections — which is exactly why
      the tier exists.
 
-* P=16 on the threads backend with the bytes wire — the same verified
+* P=16 on the coop backend with the bytes wire — the same verified
   transport with real payloads, byte-verified end to end against the
   expected all-to-allv result.
 
@@ -60,8 +60,8 @@ def _prog(sizes, *, fill, verify):
 
 
 def _cfg(**kw):
-    defaults = dict(machine=THETA, trace="metrics", timeout=300,
-                    backend="coop", wire="phantom", fault_seed=SEED)
+    defaults = dict(machine=THETA, trace="metrics", backend="coop",
+                    wire="phantom", fault_seed=SEED)
     defaults.update(kw)
     return ExecutionConfig(**defaults)
 
@@ -125,8 +125,8 @@ def check_byte_verified(nprocs: int) -> None:
     prog = _prog(sizes, fill=True, verify=True)
     t0 = time.perf_counter()
     res = run_spmd(prog, nprocs, config=_cfg(
-        backend="threads", wire="bytes", fault_plan=PLAN,
-        on_fault="retry", reliability="verify"))
+        wire="bytes", fault_plan=PLAN, on_fault="retry",
+        reliability="verify"))
     wall = time.perf_counter() - t0
     counts = dict(res.metrics.fault_counts)
     assert res.returns == list(range(nprocs))

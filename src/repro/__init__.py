@@ -3,8 +3,8 @@ All-to-all Communication" (Fan et al., HPDC '22).
 
 Layers (see README.md / DESIGN.md):
 
-* :mod:`repro.simmpi` — deterministic simulated MPI runtime (thread-per-
-  rank SPMD, LogGP-style cost model, machine profiles).
+* :mod:`repro.simmpi` — deterministic simulated MPI runtime (cooperative
+  per-rank SPMD, LogGP-style cost model, machine profiles).
 * :mod:`repro.core` — the paper's algorithms: six uniform Bruck variants,
   padded Bruck, two-phase Bruck, baselines, the Eq. (1)-(3) cost model and
   the Fig. 9 empirical selector.

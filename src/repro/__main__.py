@@ -15,7 +15,7 @@ Examples
 
     python -m repro predict -a two_phase_bruck -p 8192 -n 256
     python -m repro run -a padded_bruck -p 32 -n 64 --machine local
-    python -m repro run -a two_phase_bruck -p 1024 -n 8 --backend coop
+    python -m repro run -a two_phase_bruck -p 1024 -n 8
     python -m repro run -a sloav -p 32768 -n 64 --backend tensor \\
         --wire phantom --dist const
     python -m repro trace --algorithm two_phase_bruck --nprocs 64 \\
@@ -143,15 +143,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def _check_backend_limits(backend: str, nprocs: int,
                           dist: str) -> Optional[str]:
     """Per-backend practical rank caps for functional (simulator) runs."""
-    if backend == "threads" and nprocs > 256:
-        return ("functional runs on the thread backend are practical up "
-                "to 256 ranks; pass --backend coop for thousands of "
-                "ranks, --backend tensor for tens of thousands, or use "
-                "`predict`")
     if backend == "coop" and nprocs > 4096:
-        return ("functional runs are practical up to 4096 ranks even on "
-                "the coop backend; pass --backend tensor (with --wire "
-                "phantom) beyond that")
+        return ("functional runs are practical up to 4096 ranks on the "
+                "coop backend; pass --backend tensor (with --wire "
+                "phantom) beyond that, or use `predict`")
     if backend == "tensor" and dist != "const" and nprocs > 8192:
         return ("a sampled P x P size matrix above 8192 ranks does not "
                 "fit in memory; pass --dist const for paper-scale runs")
@@ -191,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = "metrics" if args.nprocs > 256 else True
     try:
         config = ExecutionConfig(machine=machine, trace=trace,
-                                 timeout=600.0, backend=args.backend,
+                                 backend=args.backend,
                                  wire=args.wire, fault_plan=args.faults,
                                  fault_seed=args.fault_seed,
                                  on_fault=args.on_fault,
@@ -299,10 +294,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print("error: per-event traced runs are practical up to 1024 "
               "ranks; use --level metrics (with --backend coop or tensor) "
               "for large-P aggregate observability", file=sys.stderr)
-        return 2
-    if args.backend == "threads" and args.nprocs > 256:
-        print("error: the thread backend is practical up to 256 ranks; "
-              "pass --backend coop or tensor", file=sys.stderr)
         return 2
     if args.backend == "tensor" and events_on:
         print("error: the tensor backend records no per-event traces; "
@@ -447,12 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", "--algorithm", required=True,
                    choices=ALGORITHM_CHOICES)
     _add_common(p)
-    p.add_argument("--backend", default="threads", choices=BACKENDS,
-                   help="executor backend: threads (default, <= 256 "
-                        "ranks), coop (cooperative scheduler, thousands "
-                        "of ranks), or tensor (vectorized whole-fabric "
-                        "engine, tens of thousands of ranks; requires "
-                        "--wire phantom)")
+    p.add_argument("--backend", default="coop", choices=BACKENDS,
+                   help="executor backend: coop (default; cooperative "
+                        "scheduler, thousands of ranks) or tensor "
+                        "(vectorized whole-fabric engine, tens of "
+                        "thousands of ranks; requires --wire phantom)")
     p.add_argument("--wire", default="bytes", choices=WIRE_MODES,
                    help="payload transport: bytes (default; real data, "
                         "byte-verified) or phantom (size-only envelopes — "
@@ -510,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppn", type=int, default=None, metavar="R",
                    help="ranks per node (hierarchical machine model)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default="threads", choices=BACKENDS,
-                   help="executor backend (default: threads); metrics-"
+    p.add_argument("--backend", default="coop", choices=BACKENDS,
+                   help="executor backend (default: coop); metrics-"
                         "level tracing works at any P coop/tensor reach")
     p.add_argument("--level", default="full",
                    choices=["full", "events", "metrics"],

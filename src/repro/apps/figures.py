@@ -1,7 +1,7 @@
 """Application-figure drivers: Fig. 11 (TC) and Fig. 12 (kCFA).
 
 Scaled-down functional reproductions: the paper runs these at 256–4096
-ranks on Theta; the thread-based simulator runs the same code at 8–64
+ranks on Theta; the per-rank simulator runs the same code at 8–64
 ranks (the divergence-driving property — per-iteration all-to-all load —
 is preserved by the workload generators; see DESIGN.md).
 """

@@ -10,7 +10,7 @@ Fig. 11's diverging result:
   producing ~10× more paths per iteration → large loads → Bruck-hostile.
 
 The generators here control that property directly, scaled down so the
-thread-based functional runtime finishes in seconds (the scale substitution
+per-rank functional runtime finishes in seconds (the scale substitution
 is documented in DESIGN.md): :func:`graph1` is chain-dominated (long
 diameter, sparse shortcuts), :func:`graph2` is a dense random digraph
 (logarithmic diameter).  Edge counts keep roughly the paper's 1:2.5 ratio.

@@ -186,15 +186,13 @@ def kcfa_rank(comm: Communicator, program: Program, k: int, *,
 def run_kcfa(program: Program, k: int, nprocs: int, *,
              machine: MachineProfile = LOCAL,
              algorithm: str = "two_phase_bruck",
-             entries: int = 1,
-             timeout: float = 600.0) -> KCFAResult:
+             entries: int = 1) -> KCFAResult:
     """Launch the SPMD kCFA job and aggregate Fig. 12's per-iteration
     series (comm time and max block size ``N``)."""
     result = run_spmd(
         lambda comm: kcfa_rank(comm, program, k, algorithm=algorithm,
                                entries=entries),
-        nprocs, config=ExecutionConfig(machine=machine, trace=False,
-                                       timeout=timeout))
+        nprocs, config=ExecutionConfig(machine=machine, trace=False))
     fixpoints: List[FixpointResult] = result.returns
     iterations = fixpoints[0].iterations
     per_iteration: List[Dict] = []

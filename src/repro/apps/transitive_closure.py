@@ -85,8 +85,7 @@ def transitive_closure_rank(comm: Communicator, edges: Sequence[Edge], *,
 
 def run_transitive_closure(edges: Sequence[Edge], nprocs: int, *,
                            machine: MachineProfile = LOCAL,
-                           algorithm: str = "two_phase_bruck",
-                           timeout: float = 300.0) -> TCResult:
+                           algorithm: str = "two_phase_bruck") -> TCResult:
     """Launch the SPMD TC job and aggregate per-rank results.
 
     The returned ``per_iteration`` records carry, for every iteration, the
@@ -96,8 +95,7 @@ def run_transitive_closure(edges: Sequence[Edge], nprocs: int, *,
     result = run_spmd(
         lambda comm: transitive_closure_rank(comm, edges,
                                              algorithm=algorithm),
-        nprocs, config=ExecutionConfig(machine=machine, trace=False,
-                                       timeout=timeout))
+        nprocs, config=ExecutionConfig(machine=machine, trace=False))
     fixpoints: List[FixpointResult] = result.returns
     iterations = fixpoints[0].iterations
     if any(f.iterations != iterations for f in fixpoints):

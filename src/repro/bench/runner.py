@@ -61,8 +61,8 @@ def run_functional_iterations(algorithm: str, nprocs: int, dist,
     from ..workloads import block_size_matrix, build_vargs
 
     machine = THETA if machine is None else machine
-    config = ExecutionConfig(machine=machine, trace=False, timeout=600.0,
-                             backend=backend, wire=wire)
+    config = ExecutionConfig(machine=machine, trace=False, backend=backend,
+                             wire=wire)
 
     if backend == "tensor":
         def experiment(seed: int) -> float:

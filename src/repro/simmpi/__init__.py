@@ -4,9 +4,10 @@ A deterministic, in-process stand-in for an MPI runtime: SPMD programs run
 against a shared :class:`~repro.simmpi.network.Network` whose simulated
 clocks follow a LogGP-style cost model parameterized by
 :class:`~repro.simmpi.machine.MachineProfile`.  Two executor backends with
-bit-identical simulated clocks: thread-per-rank (default, up to a few
-hundred ranks) and the cooperative scheduler (``backend="coop"``,
-thousands of ranks; see :mod:`repro.simmpi.scheduler`).
+bit-identical simulated clocks: the cooperative scheduler (``backend=
+"coop"``, the default; thousands of ranks, see :mod:`repro.simmpi.scheduler`)
+runs the rank programs, and the vectorized engine (``backend="tensor"``, see
+:mod:`repro.simmpi.tensor`) evaluates registered collectives whole-fabric.
 
 Quick start::
 
@@ -74,7 +75,7 @@ from .machine import (
 )
 from .metrics import Counter, Histogram, MetricsRegistry, RunMetrics
 from .network import WIRE_MODES, Envelope, Network
-from .scheduler import CoopNetwork, CoopScheduler
+from .scheduler import CoopScheduler
 from .request import RecvRequest, Request, SendRequest, waitall
 from .tensor import TensorAlltoall, TensorAlltoallv
 from .trace_export import (
@@ -129,7 +130,6 @@ __all__ = [
     "FAULT_KINDS",
     "KNOWN_FAULT_CLAUSES",
     "CoopScheduler",
-    "CoopNetwork",
     "MachineProfile",
     "get_profile",
     "PROFILES",

@@ -54,8 +54,7 @@ class Communicator:
     """One rank's endpoint in the simulated job."""
 
     def __init__(self, network: Network, rank: int,
-                 trace: TraceBase,
-                 recv_timeout: Optional[float] = 60.0) -> None:
+                 trace: TraceBase) -> None:
         if not 0 <= rank < network.nprocs:
             raise InvalidRankError(rank, network.nprocs)
         self._network = network
@@ -63,7 +62,6 @@ class Communicator:
         self._trace = trace
         self._clock = 0.0
         self._coll_seq = 0
-        self._recv_timeout = recv_timeout
         # Wire mode is fixed per job; cache the flag for the send hot path.
         self._payload_enabled = network.payload_enabled
         # Fault-engine state, resolved once: the straggler multiplier on
@@ -94,9 +92,8 @@ class Communicator:
         # duplicate suppression).  Only this rank touches its own entries.
         self._rel_expected: Dict[ChannelKey, int] = {}
         self._rel_stash: Dict[ChannelKey, Dict[int, Envelope]] = {}
-        # Backend hook: the cooperative scheduler reads this rank's clock
-        # through the fabric to order its run queue.
-        network.register_rank(rank, self)
+        # The scheduler reads this rank's clock to order its run queue.
+        network.scheduler.bind_clock(rank, self)
 
     # -- identity -------------------------------------------------------
     @property
@@ -356,12 +353,11 @@ class Communicator:
         # Release our own outstanding reorder hold (if any) before
         # blocking: a held message may be exactly what the peer needs to
         # make progress toward satisfying this receive.  The trigger is a
-        # program-order event of this rank, so it is identical on both
-        # backends and determinism is preserved.
+        # program-order event of this rank, so it is identical under every
+        # schedule and determinism is preserved.
         net.flush_sender(self._rank)
         if self._reliability is None:
-            return net.collect(source, self._rank, tag,
-                               host_timeout=self._recv_timeout)
+            return net.collect(source, self._rank, tag)
         if self._verify and source in self._tombstoned:
             # This rank already excised the sender: every later receive
             # from it short-circuits to an empty contribution without
@@ -375,8 +371,7 @@ class Communicator:
             expected = self._rel_expected.get(key, 0)
             env = stash.pop(expected, None)
             if env is None:
-                env = net.collect(source, self._rank, tag,
-                                  host_timeout=self._recv_timeout)
+                env = net.collect(source, self._rank, tag)
                 if env.mark == "dead":
                     return env
                 if self._verify:
@@ -486,8 +481,8 @@ class Communicator:
     def _complete_recv(self, env: Envelope) -> None:
         """Land one delivered message on this rank's simulated clock.
 
-        The one place the receive-side timing rule lives (both backends,
-        both the object and the buffer transport): completion is
+        The one place the receive-side timing rule lives (both the object
+        and the buffer transport): completion is
         ``max(clock, head arrival) + serial landing time``.  Stragglers pay
         their multiplier on the serial landing; the reliability transport
         adds one ``o_send`` for the ack injection.

@@ -1,7 +1,7 @@
 """The typed execution configuration for :func:`repro.simmpi.run_spmd`.
 
-Everything about how a run executes — machine, trace, timeout, backend,
-wire, fault plan, fault seed, failure policy, reliability — is one frozen,
+Everything about how a run executes — machine, trace, backend, wire,
+fault plan, fault seed, failure policy, reliability — is one frozen,
 validated value object:
 
 * **validated at construction** — unknown backend/wire/on_fault/trace
@@ -34,10 +34,11 @@ __all__ = [
     "WIRE_MODES",
 ]
 
-#: Accepted values of the ``backend`` parameter.  ``threads`` runs one OS
-#: thread per rank, ``coop`` a clock-ordered cooperative scheduler, and
-#: ``tensor`` the vectorized whole-fabric engine (:mod:`repro.simmpi.tensor`).
-BACKENDS = ("threads", "coop", "tensor")
+#: Accepted values of the ``backend`` parameter.  ``coop`` runs every rank
+#: program under a clock-ordered cooperative scheduler
+#: (:mod:`repro.simmpi.scheduler`), ``tensor`` the vectorized whole-fabric
+#: engine (:mod:`repro.simmpi.tensor`).
+BACKENDS = ("coop", "tensor")
 
 #: Accepted values of the ``on_fault`` failure policy.
 ON_FAULT_POLICIES = ("fail-fast", "retry", "degrade")
@@ -73,11 +74,6 @@ class ExecutionConfig:
         (``result.traces`` is ``None``), or ``False``/``None``/``"off"``
         (for big sweeps).  Stored normalized to one of
         :data:`TRACE_MODES`.
-    timeout:
-        Thread-backend watchdog in wall-clock seconds (shared by the
-        whole job); a blocked job raises :class:`DeadlockError`.  The
-        coop backend detects a stuck job exactly, with no timeout, and
-        the tensor backend cannot block.
     backend:
         One of :data:`BACKENDS`.
     wire:
@@ -120,8 +116,7 @@ class ExecutionConfig:
 
     machine: MachineProfile = LOCAL
     trace: str = "full"
-    timeout: float = 120.0
-    backend: str = "threads"
+    backend: str = "coop"
     wire: str = "bytes"
     fault_plan: Optional[FaultPlan] = None
     fault_seed: int = 0
@@ -135,8 +130,6 @@ class ExecutionConfig:
                 f"machine must be a MachineProfile, got {self.machine!r}")
         # Normalize the trace mode (bools and None are accepted inputs).
         object.__setattr__(self, "trace", _resolve_trace_mode(self.trace))
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")

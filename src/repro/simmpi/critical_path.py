@@ -242,7 +242,7 @@ def analyze(result: "SPMDResult") -> CriticalPathResult:
 
 
 # ----------------------------------------------------------------------
-# event-trace mode (threads / coop backends)
+# event-trace mode (coop backend)
 # ----------------------------------------------------------------------
 
 def _straggle_factors(result: "SPMDResult") -> List[float]:

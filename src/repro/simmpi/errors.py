@@ -62,10 +62,11 @@ class TruncationError(SimMPIError):
 
 
 class DeadlockError(SimMPIError):
-    """The SPMD program made no progress within the watchdog timeout.
+    """The SPMD program can make no further progress.
 
-    Raised by the executor (on the launching thread) when worker ranks are
-    still blocked after ``timeout`` seconds; the message lists which ranks
+    Raised by the executor (on the launching thread) the moment the
+    scheduler proves it: unfinished ranks remain and none is runnable, so
+    no interleaving can complete the run.  The message lists which ranks
     were blocked and on what, which is usually enough to spot a mismatched
     send/recv pair.
     """

@@ -13,8 +13,8 @@ Failure semantics: if any rank raises, the network is aborted so blocked
 peers wake with :class:`RankFailedError` (and further sends fail the same
 way), and the *original* exception is re-raised on the calling thread with
 the failing rank identified.  Deadlocks raise :class:`DeadlockError` with
-a dump of pending messages — detected by a wall-clock watchdog under the
-thread backend, and exactly (no timeout involved) under the coop backend.
+a dump of pending messages the moment the scheduler proves no rank can
+make progress (see :mod:`repro.simmpi.scheduler`).
 
 Determinism: simulated clocks depend only on the program's communication
 structure (see :mod:`repro.simmpi.network`), never on OS scheduling, so
@@ -24,21 +24,18 @@ backends.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from time import monotonic
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .communicator import Communicator
 from .config import (BACKENDS, ON_FAULT_POLICIES, TRACE_MODES,
                      ExecutionConfig)
-from .errors import (CommAbortedError, DeadlockError, InjectedCrashError,
-                     RankFailedError, SimMPIError)
+from .errors import (CommAbortedError, InjectedCrashError, RankFailedError,
+                     SimMPIError)
 from .faults import FaultInjector
 from .machine import MachineProfile
 from .metrics import MetricsRegistry, RunMetrics
 from .network import WIRE_MODES, Network
-from .scheduler import CoopNetwork, CoopScheduler
 from .tracing import MetricsTrace, NullTrace, RankTrace, TraceBase
 
 __all__ = ["run_spmd", "SPMDResult", "ExecutionConfig", "TRACE_MODES",
@@ -72,7 +69,7 @@ class SPMDResult:
     #: Tensor-backend only: raw per-rank attribution bucket sums
     #: (overhead/transmit/congestion/fault_delay/queue_wait) recorded by
     #: the lane engine, consumed by :meth:`critical_path`.  ``None`` on
-    #: the threads/coop backends (attribution is derived from event
+    #: the coop backend (attribution is derived from event
     #: traces there) and when metrics were off.  The ``"step_log"`` key
     #: carries the engine's coarse per-step records for the path walk.
     raw_attribution: Optional[Dict[str, Any]] = field(default=None)
@@ -169,9 +166,8 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *,
         matrix).  Under ``backend="tensor"`` this must be a
         :class:`~repro.simmpi.tensor.TensorProgram` spec object.
     nprocs:
-        Number of simulated ranks.  The thread backend is practical up to
-        a few hundred; ``backend="coop"`` scales to thousands;
-        ``backend="tensor"`` to the paper's 32K.
+        Number of simulated ranks.  ``backend="coop"`` scales to
+        thousands; ``backend="tensor"`` to the paper's 32K.
     config:
         The :class:`ExecutionConfig` describing how the run executes —
         machine, trace mode, backend, wire, faults; ``None`` means
@@ -200,23 +196,13 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *,
         return result
 
     machine = cfg.machine
-    backend = cfg.backend
     wire = cfg.wire
-    timeout = cfg.timeout
     on_fault = cfg.on_fault
     events_on = cfg.events_on
     metrics_on = cfg.metrics_on
 
     registry = MetricsRegistry(nprocs) if metrics_on else None
-    scheduler: Optional[CoopScheduler] = None
-    if backend == "coop":
-        scheduler = CoopScheduler(nprocs)
-        network: Network = CoopNetwork(nprocs, machine, metrics=registry,
-                                       wire=wire, scheduler=scheduler)
-        recv_timeout = None  # stalls are caught exactly, not by the clock
-    else:
-        network = Network(nprocs, machine, metrics=registry, wire=wire)
-        recv_timeout = timeout
+    network = Network(nprocs, machine, metrics=registry, wire=wire)
     if cfg.faulted:
         # Attached before any Communicator exists: ranks resolve their
         # straggler/crash/reliability state from it at construction.
@@ -235,11 +221,9 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *,
     clocks: List[float] = [0.0] * nprocs
     failures: List[Tuple[int, BaseException]] = []
     degraded: List[int] = []
-    failure_lock = threading.Lock()
 
     def worker(rank: int) -> None:
-        comm = Communicator(network, rank, tracers[rank],
-                            recv_timeout=recv_timeout)
+        comm = Communicator(network, rank, tracers[rank])
         try:
             call_args = rank_args[rank] if rank_args is not None else args
             returns[rank] = fn(comm, *call_args)
@@ -249,26 +233,19 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *,
             if on_fault == "degrade":
                 # The planned crash is not a job failure: excise the rank
                 # (survivors read its traffic as empty) and keep going.
-                with failure_lock:
-                    degraded.append(rank)
+                degraded.append(rank)
                 clocks[rank] = exc.clock
                 network.mark_dead(rank, exc.clock)
                 return
-            with failure_lock:
-                failures.append((rank, exc))
+            failures.append((rank, exc))
             network.abort(rank, exc, clock=comm.clock,
                           phase=comm.current_phase, step=comm.op_index)
         except BaseException as exc:  # noqa: BLE001 - must propagate any failure
-            with failure_lock:
-                failures.append((rank, exc))
+            failures.append((rank, exc))
             network.abort(rank, exc, clock=comm.clock,
                           phase=comm.current_phase, step=comm.op_index)
 
-    if scheduler is not None:
-        scheduler.run(network, worker)  # DeadlockError propagates directly
-    else:
-        _run_threaded(worker, nprocs, network, timeout)
-
+    network.scheduler.run(network, worker)  # DeadlockError propagates
     network.shutdown()
     _raise_first_failure(failures)
 
@@ -328,48 +305,13 @@ def _maybe_append_ledger(result: SPMDResult, fn: Callable) -> None:
                extra=extra or None)
 
 
-def _run_threaded(worker: Callable[[int], None], nprocs: int,
-                  network: Network, timeout: float) -> None:
-    """Thread-per-rank execution with a *shared* watchdog deadline.
-
-    One deadline covers the whole job: every join waits only for the
-    remaining budget, so a hung job is declared dead after ``timeout``
-    seconds total — not up to ``nprocs * timeout`` as a fresh-per-join
-    timeout would allow.
-    """
-    threads = [
-        threading.Thread(target=worker, args=(r,), name=f"simmpi-rank-{r}",
-                         daemon=True)
-        for r in range(nprocs)
-    ]
-    for t in threads:
-        t.start()
-    deadline = monotonic() + timeout
-    deadline_hit = False
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - monotonic()))
-        if t.is_alive():
-            deadline_hit = True
-            break
-    if deadline_hit:
-        network.shutdown()  # wake anything still blocked
-        for t in threads:
-            t.join(timeout=5.0)
-        blocked = [t.name for t in threads if t.is_alive()]
-        raise DeadlockError(
-            f"SPMD run made no progress within {timeout}s; "
-            f"still-blocked threads: {blocked or 'none (woke on shutdown)'}; "
-            f"{network.pending_summary()}"
-        )
-
-
 def _raise_first_failure(failures: List[Tuple[int, BaseException]]) -> None:
     """Re-raise the root cause of a failed run, tagged with its rank.
 
     Secondary casualties — ranks that died of :class:`RankFailedError` or
     :class:`CommAbortedError` *because* a peer failed first — never mask
     the original exception; they are only reported when no primary failure
-    exists (e.g. a receive timeout was the first thing to go wrong).
+    exists.
     """
     if not failures:
         return

@@ -41,11 +41,12 @@ Every probabilistic decision is a **pure function of the message's
 identity**, never of arrival order: the RNG for message *n* on channel
 ``(src, dst, tag)`` is seeded from ``(plan seed, src, dst, tag, n)``
 (per-channel sequence numbers are deterministic because each channel has
-a single sender posting in program order).  OS thread scheduling therefore
-cannot change any fault decision, and the same ``(plan, seed)`` produces
-bit-identical per-rank clocks, message counts, and fault-event sequences
-on the ``threads`` and ``coop`` backends, for both wire modes —
-``tests/simmpi/test_backend_equivalence.py`` enforces exactly that.
+a single sender posting in program order).  The order in which ranks run
+therefore cannot change any fault decision, and the same ``(plan, seed)``
+produces bit-identical per-rank clocks, message counts, and fault-event
+sequences under every schedule, for both wire modes —
+``tests/simmpi/test_backend_equivalence.py`` and
+``tests/simmpi/test_schedule_independence.py`` enforce exactly that.
 
 All injected faults are charged under the LogGP cost model in *simulated*
 time (a delayed message departs later; a retransmitted message arrives
@@ -445,11 +446,9 @@ class FaultRecord:
 class FaultInjector:
     """The per-run fault engine, shared by every rank through the network.
 
-    State is confined to the network's synchronization domain: under the
-    thread backend every call happens inside the network lock; under the
-    cooperative backend exactly one rank runs at a time.  Per-channel
-    counters are touched only by that channel's single sender, so their
-    values are deterministic regardless of interleaving.
+    Exactly one rank runs at a time, so the engine's state needs no lock.
+    Per-channel counters are touched only by that channel's single sender,
+    so their values are deterministic regardless of interleaving.
     """
 
     def __init__(self, plan: Optional[FaultPlan], seed: int = 0,

@@ -218,7 +218,7 @@ class MachineProfile:
         return self.ppn > 1 and src // self.ppn == dst // self.ppn
 
     # ------------------------------------------------------------------
-    # cost primitives — the single source of truth shared by the thread
+    # cost primitives — the single source of truth shared by the per-rank
     # simulator (repro.simmpi.network) and the analytic timing engine
     # (repro.timing).
     # ------------------------------------------------------------------

@@ -24,18 +24,18 @@ are computed at snapshot time by a sweep over those intervals, with the
 pinned tie-break that at equal timestamps a departure counts before a
 landing (touching intervals overlap, so every message registers a depth
 of at least one).  Because the simulated timestamps are bit-identical
-across the threads / coop / tensor backends, so are the metrics — the
-older implementation counted posts and deliveries as host events and was
-therefore scheduling-dependent on the threads backend.
+across the coop and tensor backends and under every schedule, so are the
+metrics — counting posts and deliveries as host events would make them
+depend on the order in which ranks run.
 
 Wait totals are accumulated per receiving rank (each rank appends its own
-receives in program order — no lock needed) and combined at snapshot time
+receives in program order) and combined at snapshot time
 with :func:`math.fsum`, which is correctly rounded and therefore
 independent of rank order.
 
 The :class:`~repro.simmpi.network.Network` feeds the registry from
-``post`` under its existing lock; the communicator feeds the per-receive
-record from the rank threads through :meth:`MetricsRegistry.on_retire`.
+``post``; each rank's communicator feeds its per-receive records through
+:meth:`MetricsRegistry.on_retire`.
 When metrics are disabled the network holds ``None`` and pays a single
 ``is not None`` branch per message — near-zero overhead.
 
@@ -46,7 +46,6 @@ snapshot exposed as ``SPMDResult.metrics``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -202,10 +201,10 @@ def max_overlap_by_group(gids: np.ndarray, starts: np.ndarray,
 class MetricsRegistry:
     """Live aggregates of one SPMD run.
 
-    The network-facing hook (:meth:`on_post`) is invoked under the
-    network's lock; :meth:`on_retire` is invoked from rank threads but
-    each rank only touches its own per-rank stores, so it is lock-free;
-    :meth:`on_fault` takes the registry lock for the shared count table.
+    Exactly one rank runs at any instant, so no hook takes a lock:
+    :meth:`on_post` and :meth:`on_fault` run on the network's post path,
+    :meth:`on_retire` on the receiving rank, which only touches its own
+    per-rank stores.
     """
 
     def __init__(self, nprocs: int) -> None:
@@ -232,9 +231,8 @@ class MetricsRegistry:
         #: and, per posting rank, the simulated delay added to departures.
         self.fault_counts: Dict[str, int] = {}
         self._delay_by_rank = [0.0] * nprocs
-        self._lock = threading.Lock()
 
-    # -- network-side hook (called under the network lock) ----------------
+    # -- network-side hook ------------------------------------------------
     def on_post(self, src: int, dst: int, tag: int, nbytes: int) -> None:
         """One message entered its channel."""
         self.messages.add()
@@ -251,7 +249,7 @@ class MetricsRegistry:
         step[0] += 1
         step[1] += nbytes
 
-    # -- fault-engine hook (network post path or rank threads) -----------
+    # -- fault-engine hook (network post path or the receiving rank) -----
     def on_fault(self, kind: str, delay: float = 0.0,
                  rank: Optional[int] = None) -> None:
         """Count one injected fault / reliability action.
@@ -261,12 +259,11 @@ class MetricsRegistry:
         independent of host scheduling (each rank's faults occur in its
         own program order; :func:`math.fsum` combines ranks at snapshot).
         """
-        with self._lock:
-            self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
-            if delay:
-                self._delay_by_rank[rank if rank is not None else 0] += delay
+        self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
+        if delay:
+            self._delay_by_rank[rank if rank is not None else 0] += delay
 
-    # -- communicator-side hook (called from rank threads) ---------------
+    # -- communicator-side hook (called by the receiving rank) ----------
     def on_retire(self, src: int, dst: int, tag: int,
                   depart: float, head: float, clock: float) -> None:
         """Account one completed receive on rank ``dst``.
@@ -278,8 +275,7 @@ class MetricsRegistry:
         message sat arrived-but-unretired) versus ``recv_wait = max(0,
         head - clock)`` (the receiver idled for the wire); exactly one is
         non-zero — and the flight interval ``[depart, max(clock, head)]``
-        are derived here.  Only rank ``dst``'s thread touches rank
-        ``dst``'s slots, so this needs no lock.
+        are derived here.  Only rank ``dst`` touches rank ``dst``'s slots.
         """
         queue_wait = max(0.0, clock - head)
         recv_wait = max(0.0, head - clock)

@@ -1,50 +1,47 @@
 """In-process network fabric connecting simulated ranks.
 
-The :class:`Network` is the one object shared by all rank threads.  It
+The :class:`Network` is the one object shared by all ranks of a run.  It
 implements MPI's matching semantics for the subset the paper's algorithms
 need:
 
 * messages are matched by exact ``(source, dest, tag)``;
 * messages on the same ``(source, dest, tag)`` channel are delivered in FIFO
   order (MPI's non-overtaking guarantee);
-* receives block until a matching message arrives.
+* a receive on an empty channel suspends the rank until a matching message
+  arrives.
 
 Timing is **not** wall-clock: each message carries the sender's simulated
 clock at departure, and the receiver computes the simulated arrival with the
 machine profile's cost rules.  Because matching is by explicit source and
-per-channel FIFO, the simulated clocks are deterministic regardless of OS
-thread scheduling — re-running the same SPMD program yields bit-identical
-timings.
+per-channel FIFO, the simulated clocks are deterministic regardless of the
+order in which ranks run — re-running the same SPMD program yields
+bit-identical timings.
 
-The network also provides the failure path: when a rank thread dies, it
-calls :meth:`Network.abort`, which wakes every blocked receiver with
+The network also provides the failure path: when a rank dies, it calls
+:meth:`Network.abort`, which wakes every blocked receiver with
 :class:`RankFailedError` so the whole job tears down instead of hanging.
 Symmetrically, a *send* posted after the job aborted raises
 :class:`RankFailedError` immediately — survivors must not keep injecting
 traffic (and inflating ``total_messages``) into a dead job.
 
-Synchronization is a backend concern, not a matching concern: the channel
-bookkeeping lives in lock-free ``_deposit`` / ``_take`` helpers that
-:class:`Network` wraps in a mutex + condition variable for the default
-thread-per-rank executor, while the cooperative backend's
-:class:`~repro.simmpi.scheduler.CoopNetwork` subclass calls them directly
-(exactly one rank runs at a time there, so the hot path takes no locks).
+Each fabric owns the :class:`~repro.simmpi.scheduler.CoopScheduler` that
+runs its ranks.  Exactly one rank runs at any instant, so the channel
+bookkeeping takes no locks: blocking is a scheduler yield, and a post wakes
+only the one rank waiting on its channel.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from time import monotonic
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 from .errors import CommAbortedError, RankFailedError
 from .machine import MachineProfile
 from .metrics import MetricsRegistry
+from .scheduler import CoopScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .communicator import Communicator
-    from .faults import FaultInjector, FaultRecord
+    from .faults import FaultInjector
 
 __all__ = ["Envelope", "Network", "WIRE_MODES"]
 
@@ -150,8 +147,9 @@ class Network:
         #: Optional aggregate-metrics sink; ``None`` keeps the hot path to
         #: a single branch per message.
         self.metrics = metrics
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        #: The single-runner scheduler that suspends and wakes this
+        #: fabric's ranks; the executor drives it with ``scheduler.run``.
+        self.scheduler = CoopScheduler(nprocs)
         self._channels: Dict[ChannelKey, Deque[Envelope]] = {}
         self._aborted: Optional[RankFailedError] = None
         self._shutdown = False
@@ -171,25 +169,10 @@ class Network:
         #: own program order, which is what keeps degrade deterministic
         #: per rank).
         self._tombstoned: Dict[int, float] = {}
-        # Statistics (under lock); handy for tests and sanity checks.
+        # Statistics; handy for tests and sanity checks.
         self.total_messages = 0
         self.total_bytes = 0
 
-    # ------------------------------------------------------------------
-    # backend hooks
-    # ------------------------------------------------------------------
-    def register_rank(self, rank: int, comm: "Communicator") -> None:
-        """Attach one rank's communicator to the fabric.
-
-        The thread backend needs nothing from it; the cooperative backend
-        overrides this to learn each rank's simulated clock for its
-        clock-ordered run queue.
-        """
-
-    # ------------------------------------------------------------------
-    # lock-free bookkeeping shared by both backends.  Callers provide the
-    # synchronization: the thread backend holds ``_cond``, the cooperative
-    # backend is single-runner by construction.
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
         """Raise if the job aborted or the fabric was torn down."""
@@ -198,8 +181,11 @@ class Network:
         if self._shutdown:
             raise CommAbortedError("network is shut down")
 
-    def _deposit(self, key: ChannelKey, env: Envelope) -> None:
+    def _deposit(self, env: Envelope) -> None:
+        """Append ``env`` to its channel and wake that channel's waiter."""
+        key = (env.src, env.dst, env.tag)
         self._channels.setdefault(key, deque()).append(env)
+        self.scheduler.notify_key(key)
         if env.mark in ("lost", "corrupt_lost"):
             # Tombstones are bookkeeping, not traffic: they exist so the
             # receiver raises a typed error instead of hanging, and must
@@ -209,15 +195,6 @@ class Network:
         self.total_bytes += env.nbytes
         if self.metrics is not None:
             self.metrics.on_post(env.src, env.dst, env.tag, env.nbytes)
-
-    def _take(self, key: ChannelKey) -> Optional[Envelope]:
-        chan = self._channels.get(key)
-        if not chan:
-            return None
-        env = chan.popleft()
-        if not chan:
-            del self._channels[key]
-        return env
 
     def _inject(self, env: Envelope,
                 phase: Optional[str]) -> "Tuple[list, list]":
@@ -242,7 +219,7 @@ class Network:
     # ------------------------------------------------------------------
     def post(self, env: Envelope,
              phase: Optional[str] = None) -> "Optional[list]":
-        """Deposit a message into its channel and wake blocked receivers.
+        """Deposit a message into its channel and wake its blocked receiver.
 
         When a fault injector is attached the envelope first runs through
         it — the deposit may be delayed, duplicated, replaced by a
@@ -259,39 +236,25 @@ class Network:
         CommAbortedError
             if the network was shut down.
         """
-        with self._cond:
-            self._check_open()
-            if self.injector is None:
-                self._deposit((env.src, env.dst, env.tag), env)
-                self._cond.notify_all()
-                return None
-            envs, records = self._inject(env, phase)
-            for e in envs:
-                self._deposit((e.src, e.dst, e.tag), e)
-            if envs:
-                self._cond.notify_all()
-            return records
+        self._check_open()
+        if self.injector is None:
+            self._deposit(env)
+            return None
+        envs, records = self._inject(env, phase)
+        for e in envs:
+            self._deposit(e)
+        return records
 
-    def collect(self, src: int, dst: int, tag: int,
-                host_timeout: Optional[float] = None) -> Envelope:
+    def collect(self, src: int, dst: int, tag: int) -> Envelope:
         """Block until the next message on ``(src, dst, tag)`` and pop it.
 
-        Two kinds of time meet here, and they must not be conflated:
-
-        * **Simulated time** lives *inside* envelopes (``depart`` plus the
-          machine profile's cost rules) and advances only through the cost
-          model.  Simulated deadlines — reliability RTOs, crash times,
-          retry-exhaustion give-ups — are resolved by the *communicator*
-          when it lands the envelope, never here.
-        * **Host-monotonic time** governs ``host_timeout``: a wall-clock
-          budget for this receive used purely as a liveness watchdog (the
-          executor converts hangs into :class:`CommAbortedError`).  It has
-          no effect whatsoever on simulated clocks.
-
-        ``host_timeout`` is an *absolute* budget for this receive: the
-        deadline is fixed on entry, so wakeups caused by traffic on
-        unrelated channels only re-wait for the remainder instead of
-        restarting the full timeout.
+        Blocking suspends the calling rank in the scheduler; it runs again
+        once a post lands on this channel (or the job aborts, shuts down or
+        excises ``src``).  Simulated deadlines — reliability RTOs, crash
+        times, retry-exhaustion give-ups — live inside envelopes and are
+        resolved by the *communicator* when it lands the envelope, never
+        here; a receive that can never be satisfied is caught exactly by
+        the scheduler's deadlock proof.
 
         If ``src`` was excised by degrade mode (:meth:`mark_dead`) and its
         channel is empty, a synthetic zero-byte ``mark="dead"`` envelope is
@@ -303,39 +266,30 @@ class Network:
         RankFailedError
             if any rank aborted the job while we were blocked.
         CommAbortedError
-            if the network was shut down, or ``host_timeout`` elapsed (the
-            executor's watchdog uses this to convert hangs into errors).
+            if the network was shut down.
+        RuntimeError
+            if the channel is empty outside a scheduler run.
         """
         key = (src, dst, tag)
-        deadline = None if host_timeout is None else monotonic() + host_timeout
-        with self._cond:
-            while True:
-                self._check_open()
-                env = self._take(key)
-                if env is not None:
-                    return env
-                if src in self._dead:
-                    return Envelope(src, dst, tag, b"",
-                                    depart=self._dead[src], nbytes=0,
-                                    mark="dead")
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0:
-                        raise CommAbortedError(
-                            f"receive (src={src}, dst={dst}, tag={tag}) "
-                            f"timed out after {host_timeout}s"
-                        )
-                    self._cond.wait(timeout=remaining)
+        channels = self._channels
+        while True:
+            self._check_open()
+            chan = channels.get(key)
+            if chan:
+                env = chan.popleft()
+                if not chan:
+                    del channels[key]
+                return env
+            if src in self._dead:
+                return Envelope(src, dst, tag, b"",
+                                depart=self._dead[src], nbytes=0,
+                                mark="dead")
+            self.scheduler.block_current(key)
 
     def probe(self, src: int, dst: int, tag: int) -> Optional[int]:
         """Return the size of the next matching message, or ``None``."""
-        with self._lock:
-            chan = self._channels.get((src, dst, tag))
-            if chan:
-                return chan[0].nbytes
-            return None
+        chan = self._channels.get((src, dst, tag))
+        return chan[0].nbytes if chan else None
 
     # ------------------------------------------------------------------
     def head_time(self, env: Envelope) -> float:
@@ -367,38 +321,32 @@ class Network:
         """
         if self.injector is None:
             return
-        with self._cond:
-            env = self.injector.flush(rank)
-            if env is not None:
-                self._deposit((env.src, env.dst, env.tag), env)
-                self._cond.notify_all()
+        env = self.injector.flush(rank)
+        if env is not None:
+            self._deposit(env)
 
     def mark_dead(self, rank: int, clock: float) -> None:
         """Excise a crashed rank (degrade mode): record its simulated crash
         clock and wake blocked receivers so waits on its channels resolve
         to synthetic ``mark="dead"`` envelopes."""
-        with self._cond:
-            self._dead.setdefault(rank, clock)
-            self._cond.notify_all()
+        self._dead.setdefault(rank, clock)
+        self.scheduler.wake_all_blocked()
 
     @property
     def dead_ranks(self) -> Dict[int, float]:
         """Snapshot of excised ranks: ``rank -> simulated crash clock``."""
-        with self._lock:
-            return dict(self._dead)
+        return dict(self._dead)
 
     def report_tombstone(self, rank: int, clock: float) -> None:
         """Record that a receiver tombstoned ``rank`` (verified transport,
         degrade policy).  First report wins the clock; the executor folds
         these into ``SPMDResult.degraded_ranks``."""
-        with self._lock:
-            self._tombstoned.setdefault(rank, clock)
+        self._tombstoned.setdefault(rank, clock)
 
     @property
     def tombstoned_ranks(self) -> Dict[int, float]:
         """Snapshot of tombstoned senders: ``rank -> detection clock``."""
-        with self._lock:
-            return dict(self._tombstoned)
+        return dict(self._tombstoned)
 
     def abort(self, failed_rank: int, exc: BaseException, *,
               clock: Optional[float] = None,
@@ -407,33 +355,30 @@ class Network:
         """Mark the job failed; wake every blocked receiver.
 
         Idempotent with first-writer-wins semantics: when several ranks
-        crash concurrently, the first ``abort`` under the lock fixes the
-        :class:`RankFailedError` every blocked operation will observe;
-        later calls only re-notify.  ``clock``/``phase``/``step`` describe
-        the failing rank's position (simulated clock, algorithm phase,
-        posted-op index) and ride along on the error for post-mortems.
+        fail, the first ``abort`` fixes the :class:`RankFailedError` every
+        blocked operation will observe; later calls only re-wake.
+        ``clock``/``phase``/``step`` describe the failing rank's position
+        (simulated clock, algorithm phase, posted-op index) and ride along
+        on the error for post-mortems.
         """
-        with self._cond:
-            if self._aborted is None:
-                self._aborted = RankFailedError(
-                    failed_rank, exc, clock=clock, phase=phase, step=step)
-            self._cond.notify_all()
+        if self._aborted is None:
+            self._aborted = RankFailedError(
+                failed_rank, exc, clock=clock, phase=phase, step=step)
+        self.scheduler.wake_all_blocked()
 
     def shutdown(self) -> None:
-        """Tear the fabric down (used by the executor after join)."""
-        with self._cond:
-            self._shutdown = True
-            self._cond.notify_all()
+        """Tear the fabric down (used by the executor after the run)."""
+        self._shutdown = True
+        self.scheduler.wake_all_blocked()
 
     def pending_summary(self) -> str:
         """Human-readable list of undelivered messages (for diagnostics)."""
-        with self._lock:
-            if not self._channels:
-                return "no pending messages"
-            lines = []
-            for (src, dst, tag), chan in sorted(self._channels.items()):
-                lines.append(
-                    f"  src={src} dst={dst} tag={tag}: {len(chan)} message(s), "
-                    f"{sum(e.nbytes for e in chan)} byte(s)"
-                )
-            return "pending messages:\n" + "\n".join(lines)
+        if not self._channels:
+            return "no pending messages"
+        lines = []
+        for (src, dst, tag), chan in sorted(self._channels.items()):
+            lines.append(
+                f"  src={src} dst={dst} tag={tag}: {len(chan)} message(s), "
+                f"{sum(e.nbytes for e in chan)} byte(s)"
+            )
+        return "pending messages:\n" + "\n".join(lines)

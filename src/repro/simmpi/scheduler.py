@@ -1,10 +1,7 @@
-"""Deterministic cooperative scheduler: the ``backend="coop"`` executor core.
+"""Deterministic cooperative scheduler: the per-rank executor core.
 
-The thread-per-rank executor stops being practical at a few hundred ranks:
-every rank owns a full OS thread, every message post storms a shared
-condition variable with ``notify_all`` (an O(P) thundering herd), and
-deadlock detection degrades to a wall-clock watchdog.  This module replaces
-all of that with a *cooperative* design:
+Every rank program runs under one :class:`CoopScheduler`, owned by the
+run's :class:`~repro.simmpi.network.Network`:
 
 * Each rank is a **tasklet** — a suspended continuation of the rank's
   program.  CPython cannot suspend an arbitrary call stack from pure Python
@@ -17,7 +14,7 @@ all of that with a *cooperative* design:
   acquired lock and parks on ``acquire()``; the rank that blocks or
   finishes pops the next ``(clock, rank)`` itself and resumes it with one
   ``release()`` — one OS wake-up per switch, never any lock contention, and
-  the network fast path below takes no locks at all.  The loop thread only
+  the network fast path takes no locks at all.  The loop thread only
   starts the run and wakes when every rank finished or none is runnable.
 * The scheduler's run queue is ordered by **(simulated clock, rank id)**,
   so execution order is a pure function of the program's communication
@@ -26,21 +23,19 @@ all of that with a *cooperative* design:
   matching ``post`` makes it runnable again.  When the run queue is empty
   while unfinished ranks remain, *no* interleaving can make progress —
   that is an exact deadlock proof, and the scheduler raises
-  :class:`~repro.simmpi.errors.DeadlockError` immediately (with the
-  blocked-rank and pending-message dump) instead of waiting out a
-  wall-clock watchdog.
+  :class:`~repro.simmpi.errors.DeadlockError` immediately, with the
+  blocked-rank and pending-message dump.
 
-Simulated clocks are bit-identical to the thread backend's: all timing
-arithmetic lives in :class:`~repro.simmpi.communicator.Communicator` /
-:class:`~repro.simmpi.request.RecvRequest` and depends only on envelope
-departure times and each rank's own operation order, neither of which the
-backend changes.  ``tests/simmpi/test_backend_equivalence.py`` enforces
-this across every registered algorithm.
+The run-queue order is a host-time choice, not part of the model: all
+timing arithmetic lives in :class:`~repro.simmpi.communicator.Communicator`
+/ :class:`~repro.simmpi.request.RecvRequest` and depends only on envelope
+departure times and each rank's own operation order.
+``tests/simmpi/test_schedule_independence.py`` pins this by popping
+runnable ranks in random order and checking every clock is unchanged.
 
-Practical scale: the coop backend runs thousands of ranks (CI exercises
-P=1024; P=4096 works) where the thread backend is limited to a few
-hundred.  Parked carrier threads cost one small stack each and are created
-lazily, the first time a rank is scheduled.
+Practical scale: thousands of ranks (CI exercises P=1024; P=4096 works).
+Parked carrier threads cost one small stack each and are created lazily,
+the first time a rank is scheduled.
 """
 
 from __future__ import annotations
@@ -51,15 +46,13 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
-from .errors import DeadlockError, RankFailedError
-from .machine import MachineProfile
-from .metrics import MetricsRegistry
-from .network import ChannelKey, Envelope, Network
+from .errors import DeadlockError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .communicator import Communicator
+    from .network import ChannelKey, Network
 
-__all__ = ["CoopScheduler", "CoopNetwork"]
+__all__ = ["CoopScheduler"]
 
 #: Stack allocation for carrier threads.  They only ever hold a suspended
 #: rank program (algorithm code + numpy calls, no deep recursion), so 2 MiB
@@ -91,9 +84,8 @@ class CoopScheduler:
 
     Usage (the executor does this)::
 
-        scheduler = CoopScheduler(nprocs)
-        network = CoopNetwork(nprocs, machine, scheduler=scheduler)
-        scheduler.run(network, worker)   # worker(rank) is the rank program
+        network = Network(nprocs, machine)   # builds its own scheduler
+        network.scheduler.run(network, worker)   # worker(rank) per rank
 
     ``run`` returns when every rank finished (normally or by unwinding
     with an exception the worker recorded), or raises
@@ -109,7 +101,7 @@ class CoopScheduler:
         # Min-heap of (simulated clock, rank) over runnable-but-suspended
         # ranks; the clock is the rank's clock when it last yielded.
         self._runnable: List[Tuple[float, int]] = []
-        self._blocked: Dict[ChannelKey, Deque[int]] = {}
+        self._blocked: Dict["ChannelKey", Deque[int]] = {}
         self._blocked_clock: Dict[int, float] = {}
         self._unfinished = 0
         self._current: Optional[_Tasklet] = None
@@ -122,21 +114,22 @@ class CoopScheduler:
         self._running = False
 
     # ------------------------------------------------------------------
-    # fabric-facing interface (called by CoopNetwork, from the running
-    # tasklet or from the scheduler loop — never concurrently)
+    # fabric-facing interface (called by the Network and the ranks'
+    # Communicators, from the running tasklet or from the scheduler loop —
+    # never concurrently)
     # ------------------------------------------------------------------
     def bind_clock(self, rank: int, comm: "Communicator") -> None:
         """Learn where ``rank``'s simulated clock lives."""
         self._comms[rank] = comm
 
-    def block_current(self, key: ChannelKey) -> None:
+    def block_current(self, key: "ChannelKey") -> None:
         """Suspend the running rank until ``notify_key(key)`` (or a global
         wake) reschedules it.  Returns once the rank runs again; the caller
         re-checks its channel/abort conditions in a loop."""
         t = self._current
         if t is None:
             raise RuntimeError(
-                "cooperative network used outside a scheduler run"
+                "network used outside a scheduler run"
             )
         comm = self._comms.get(t.rank)
         self._blocked_clock[t.rank] = comm.clock if comm is not None else 0.0
@@ -145,7 +138,7 @@ class CoopScheduler:
         self._handoff()
         t.lock.acquire()
 
-    def notify_key(self, key: ChannelKey) -> None:
+    def notify_key(self, key: "ChannelKey") -> None:
         """A message landed on ``key``: make its oldest waiter runnable."""
         waiters = self._blocked.get(key)
         if waiters:
@@ -167,7 +160,7 @@ class CoopScheduler:
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
-    def run(self, network: Network, worker: Callable[[int], None]) -> None:
+    def run(self, network: "Network", worker: Callable[[int], None]) -> None:
         """Drive ``worker(rank)`` for every rank to completion."""
         if self._running:
             raise RuntimeError("scheduler is already running")
@@ -249,7 +242,7 @@ class CoopScheduler:
     # ------------------------------------------------------------------
     # exact deadlock detection and teardown
     # ------------------------------------------------------------------
-    def _deadlock_error(self, network: Network) -> DeadlockError:
+    def _deadlock_error(self, network: "Network") -> DeadlockError:
         """No runnable rank, unfinished ranks remain: provably stuck."""
         waits = []
         for (src, dst, tag), waiters in sorted(self._blocked.items()):
@@ -265,7 +258,7 @@ class CoopScheduler:
             + f"\n{network.pending_summary()}"
         )
 
-    def _unwind(self, network: Network, error: BaseException) -> None:
+    def _unwind(self, network: "Network", error: BaseException) -> None:
         """Tear the job down (shutdown flag + wake) so every started
         continuation unwinds and its carrier exits, then raise ``error``.
 
@@ -281,93 +274,3 @@ class CoopScheduler:
                 self._loop_lock.acquire()
         raise error
 
-
-class CoopNetwork(Network):
-    """The fabric for the cooperative backend: no locks, exact blocking.
-
-    Because the scheduler guarantees a single runner, ``post``/``collect``
-    touch the channel dictionaries directly — no mutex, no condition
-    variable, no ``notify_all`` storm.  Blocking is a scheduler yield;
-    waking is targeted at the one rank waiting on the posted channel.
-    Matching, FIFO, statistics, and timing rules are all inherited, so the
-    two backends cannot drift apart semantically.
-    """
-
-    def __init__(self, nprocs: int, machine: MachineProfile,
-                 metrics: Optional[MetricsRegistry] = None,
-                 wire: str = "bytes", *,
-                 scheduler: CoopScheduler) -> None:
-        super().__init__(nprocs, machine, metrics=metrics, wire=wire)
-        if scheduler.nprocs != nprocs:
-            raise ValueError(
-                f"scheduler is sized for {scheduler.nprocs} ranks, "
-                f"network for {nprocs}"
-            )
-        self._scheduler = scheduler
-
-    def register_rank(self, rank: int, comm: "Communicator") -> None:
-        self._scheduler.bind_clock(rank, comm)
-
-    def post(self, env: Envelope,
-             phase: Optional[str] = None) -> "Optional[list]":
-        self._check_open()
-        if self.injector is None:
-            key = (env.src, env.dst, env.tag)
-            self._deposit(key, env)
-            self._scheduler.notify_key(key)
-            return None
-        envs, records = self._inject(env, phase)
-        for e in envs:
-            self._deposit((e.src, e.dst, e.tag), e)
-            self._scheduler.notify_key((e.src, e.dst, e.tag))
-        return records
-
-    def collect(self, src: int, dst: int, tag: int,
-                host_timeout: Optional[float] = None) -> Envelope:
-        # ``host_timeout`` is deliberately ignored: wall-clock receive
-        # timeouts exist to approximate deadlock detection under preemptive
-        # threads; here a stuck receive is detected *exactly* by the
-        # scheduler.  (Simulated-time deadlines — reliability RTOs, crash
-        # times — are the communicator's job on both backends; see
-        # ``Network.collect`` for the full host-vs-simulated split.)
-        key = (src, dst, tag)
-        while True:
-            self._check_open()
-            env = self._take(key)
-            if env is not None:
-                return env
-            if src in self._dead:
-                return Envelope(src, dst, tag, b"",
-                                depart=self._dead[src], nbytes=0,
-                                mark="dead")
-            self._scheduler.block_current(key)
-
-    def flush_sender(self, rank: int) -> None:
-        if self.injector is None:
-            return
-        env = self.injector.flush(rank)
-        if env is not None:
-            key = (env.src, env.dst, env.tag)
-            self._deposit(key, env)
-            self._scheduler.notify_key(key)
-
-    def mark_dead(self, rank: int, clock: float) -> None:
-        self._dead.setdefault(rank, clock)
-        self._scheduler.wake_all_blocked()
-
-    @property
-    def dead_ranks(self) -> Dict[int, float]:
-        return dict(self._dead)
-
-    def abort(self, failed_rank: int, exc: BaseException, *,
-              clock: Optional[float] = None,
-              phase: Optional[str] = None,
-              step: Optional[int] = None) -> None:
-        if self._aborted is None:
-            self._aborted = RankFailedError(
-                failed_rank, exc, clock=clock, phase=phase, step=step)
-        self._scheduler.wake_all_blocked()
-
-    def shutdown(self) -> None:
-        self._shutdown = True
-        self._scheduler.wake_all_blocked()

@@ -1,6 +1,6 @@
 """The vectorized whole-fabric "tensor" backend (``backend="tensor"``).
 
-The thread and coop backends drive ``P`` rank programs; their cost is
+The coop backend drives ``P`` rank programs; its cost is
 O(P × program length) in *host* work, which tops out around a few thousand
 ranks.  This backend evaluates a whole communication step as NumPy arrays
 over all ``P`` ranks at once — per-rank clocks, message charges, LogGP
@@ -23,7 +23,7 @@ arithmetic:
   ``clock = max(clock, depart + head_latency(n)) + serial_time(n, P)``.
 
 Because of this the equivalence tests assert **bit-identical** per-rank
-clocks, message counts and byte totals against the thread/coop backends.
+clocks, message counts and byte totals against the coop backend.
 
 Lanes: ``L = 1`` ("lockstep") when every rank provably performs the same
 charge sequence — constant block sizes, no fault plan, a lane-symmetric
@@ -82,7 +82,7 @@ class _TensorMetrics:
     """Lane-vector metrics accumulation for the tensor engine.
 
     Produces the same :class:`~repro.simmpi.metrics.RunMetrics` snapshot
-    shape (and, at matching P, the same bits) as the threads/coop
+    shape (and, at matching P, the same bits) as the coop
     registry.  Two storage regimes mirror the engine's lane regimes:
 
     * ``L == 1`` (lockstep): every exchange contributes one **pattern
@@ -1631,7 +1631,7 @@ class TensorProgram:
     executes per-rank Python), so ``run_spmd(..., backend="tensor")``
     takes one of these spec objects instead.  A spec is *also* callable as
     a normal rank program — ``fn(comm)`` runs the real registered kernel —
-    so the identical object drives the threads/coop backends in
+    so the identical object drives the coop backend in
     equivalence tests.
     """
 
@@ -1819,7 +1819,7 @@ def run_tensor(fn, nprocs: int, config: ExecutionConfig, *,
 
     Called by ``run_spmd`` when ``config.backend == "tensor"``.  Produces
     an :class:`~repro.simmpi.executor.SPMDResult` whose per-rank clocks
-    and message/byte totals are bit-identical to the threads/coop backends
+    and message/byte totals are bit-identical to the coop backend
     on the phantom wire.
     """
     from .executor import SPMDResult

@@ -219,8 +219,8 @@ class TraceBase(abc.ABC):
 
     Subclass this to plug a custom tracer into ``run_spmd`` — every hook
     receives simulated-clock timestamps, and implementations must be cheap
-    (they sit on the simulator's hot path) and thread-confined (only the
-    owning rank's thread calls them, so no locking is required).
+    (they sit on the simulator's hot path); only the owning rank calls
+    them, so no locking is required.
     """
 
     __slots__ = ("rank",)
@@ -290,8 +290,8 @@ class TraceBase(abc.ABC):
 class RankTrace(TraceBase):
     """Mutable per-rank event log.
 
-    Only the owning rank's thread appends to a :class:`RankTrace`, so no
-    locking is needed.  Copies live in three typed columns (24 bytes per
+    Only the owning rank appends to a :class:`RankTrace`, so no locking
+    is needed.  Copies live in three typed columns (24 bytes per
     copy), every other kind in a list of typed events.
     """
 

@@ -2,13 +2,14 @@
 
 The determinism contract says simulated clocks are a pure function of the
 program's communication structure.  Two axes stress it independently:
-the executor backends schedule ranks completely differently (preemptive
-OS threads vs. a clock-ordered cooperative loop), and the wire modes
-move completely different host-side data (real payload bytes vs.
-size-only phantom envelopes).  Bit-identical per-rank clocks across the
-full backend x wire matrix over every registered algorithm is a sharp
-end-to-end check — any hidden dependence on execution order or on
-payload contents would split the matrix.
+the backends compute clocks completely differently (per-rank programs
+under the cooperative scheduler vs. the vectorized whole-fabric tensor
+engine), and the wire modes move completely different host-side data
+(real payload bytes vs. size-only phantom envelopes).  Bit-identical
+per-rank clocks across the matrix over every registered algorithm is a
+sharp end-to-end check — any hidden dependence on payload contents or on
+the engine would split it.  Dependence on the order in which ranks run is
+checked by ``test_schedule_independence.py``.
 
 Bytes-wire runs additionally byte-verify delivery (``verify_recv`` /
 an exact permutation check), so the zero-copy send/landing/staging
@@ -43,9 +44,9 @@ NPROCS = (4, 16, 64)
 BLOCK = 16  # uniform per-pair block bytes
 MAX_BLOCK = 32  # non-uniform distribution ceiling
 
-#: Every (backend, wire) cell of the matrix; the first is the reference.
-MATRIX = tuple((backend, wire) for backend in ("threads", "coop")
-               for wire in WIRE_MODES)
+#: Every per-rank (backend, wire) cell of the matrix; the first is the
+#: reference.  The tensor backend joins below, on the phantom wire.
+MATRIX = tuple(("coop", wire) for wire in WIRE_MODES)
 
 
 def _run_uniform(name: str, nprocs: int, backend: str, wire: str):
@@ -73,8 +74,7 @@ def _run_uniform(name: str, nprocs: int, backend: str, wire: str):
 
     return run_spmd(prog, nprocs,
                     config=ExecutionConfig(machine=THETA, backend=backend,
-                                           trace=False, timeout=300,
-                                           wire=wire))
+                                           trace=False, wire=wire))
 
 
 def _run_nonuniform(name: str, nprocs: int, backend: str, wire: str):
@@ -91,8 +91,7 @@ def _run_nonuniform(name: str, nprocs: int, backend: str, wire: str):
 
     return run_spmd(prog, nprocs,
                     config=ExecutionConfig(machine=THETA, backend=backend,
-                                           trace=False, timeout=300,
-                                           wire=wire))
+                                           trace=False, wire=wire))
 
 
 def _assert_matrix(run, name, nprocs):
@@ -140,7 +139,7 @@ def _run_faulted(name: str, nprocs: int, backend: str, wire: str):
 
     return run_spmd(prog, nprocs,
                     config=ExecutionConfig(machine=THETA, backend=backend,
-                                           trace=True, timeout=300, wire=wire,
+                                           trace=True, wire=wire,
                                            fault_plan=FAULT_SPEC,
                                            fault_seed=23, on_fault="retry"))
 
@@ -159,7 +158,7 @@ def _assert_tensor_matches_coop(spec, nprocs, fault_plan=None):
     object drives the coop backend (executing the real registered kernel)
     and the tensor backend (evaluating the vectorized recurrence) — the
     clocks and wire statistics must agree bit for bit."""
-    base = dict(machine=THETA, trace=False, timeout=300, wire="phantom",
+    base = dict(machine=THETA, trace=False, wire="phantom",
                 fault_plan=fault_plan, fault_seed=23)
     ref = run_spmd(spec, nprocs,
                    config=ExecutionConfig(backend="coop", **base))
@@ -202,8 +201,8 @@ def _assert_tensor_metrics_match_coop(spec, nprocs, fault_plan=None,
     RunMetrics snapshot *bit for bit* — every field, including float wait
     totals, in-flight maxima, and the phase/collective time tables.
     With ``trace=False`` only the clocks and wire totals exist."""
-    base = dict(machine=machine, trace=trace, timeout=300,
-                wire="phantom", fault_plan=fault_plan, fault_seed=23)
+    base = dict(machine=machine, trace=trace, wire="phantom",
+                fault_plan=fault_plan, fault_seed=23)
     ref = run_spmd(spec, nprocs,
                    config=ExecutionConfig(backend="coop", **base))
     tens = run_spmd(spec, nprocs,
@@ -240,8 +239,7 @@ def test_tensor_metrics_hierarchical_machine():
                               16, seed=7)
     for name in ("grouped", "locality_padded_bruck",
                  "locality_two_phase_bruck", "two_phase_bruck"):
-        base = dict(machine=machine, trace="metrics", timeout=300,
-                    wire="phantom")
+        base = dict(machine=machine, trace="metrics", wire="phantom")
         spec = TensorAlltoallv(name, sizes)
         ref = run_spmd(spec, 16,
                        config=ExecutionConfig(backend="coop", **base))
@@ -457,7 +455,7 @@ def test_tensor_rejects_unsupported_features():
 @pytest.mark.parametrize("name", ["two_phase_bruck", "spread_out"])
 def test_faulted_runs_bit_identical_across_matrix(name):
     """Fault injection is part of the determinism contract: for a fixed
-    (plan, seed), every backend x wire cell must agree on per-rank clocks,
+    (plan, seed), every matrix cell must agree on per-rank clocks,
     wire statistics, fault counts, and the exact per-rank sequence of
     injected fault events — while the reliability layer still delivers
     byte-verified data on the bytes cells."""
@@ -497,8 +495,8 @@ def _run_byzantine_faulted(name: str, nprocs: int, backend: str, wire: str):
         return comm.clock
 
     cfg = ExecutionConfig(machine=THETA, backend=backend, wire=wire,
-                          trace=True, timeout=300,
-                          fault_plan=BYZANTINE_FAULT_SPEC, fault_seed=23,
+                          trace=True, fault_plan=BYZANTINE_FAULT_SPEC,
+                          fault_seed=23,
                           reliability="verify", on_fault="retry")
     return run_spmd(prog, nprocs, config=cfg)
 
@@ -507,7 +505,7 @@ def _run_byzantine_faulted(name: str, nprocs: int, backend: str, wire: str):
 def test_byzantine_faulted_runs_bit_identical_across_matrix(name):
     """The corrupt+forge cell of the determinism contract: tampered bits
     and spoofed envelopes are injected, detected, and retransmitted
-    identically in every backend x wire cell — per-rank clocks, fault
+    identically in every matrix cell — per-rank clocks, fault
     counts, and per-rank fault-event sequences all bit-identical, while
     the bytes cells additionally byte-verify the delivered data (the
     verified transport masked every injection)."""
@@ -561,8 +559,8 @@ def _run_uniform_radix(name, nprocs, backend, wire, radix):
                     theirs[comm.rank * BLOCK:(comm.rank + 1) * BLOCK])
         return comm.clock
 
-    cfg = ExecutionConfig(machine=THETA, trace=False, timeout=300,
-                          backend=backend, wire=wire)
+    cfg = ExecutionConfig(machine=THETA, trace=False, backend=backend,
+                          wire=wire)
     return run_spmd(prog, nprocs, config=cfg)
 
 
@@ -577,8 +575,8 @@ def _run_nonuniform_radix(name, nprocs, backend, wire, radix):
             verify_recv(comm.rank, sizes, vargs.recvbuf)
         return comm.clock
 
-    cfg = ExecutionConfig(machine=THETA, trace=False, timeout=300,
-                          backend=backend, wire=wire)
+    cfg = ExecutionConfig(machine=THETA, trace=False, backend=backend,
+                          wire=wire)
     return run_spmd(prog, nprocs, config=cfg)
 
 
@@ -638,8 +636,8 @@ def test_tensor_nonuniform_radix_cells(name, radix):
 
 
 def test_tensor_radix_two_spec_matches_unparameterized():
-    cfg = ExecutionConfig(machine=THETA, trace=False, timeout=300,
-                          backend="tensor", wire="phantom")
+    cfg = ExecutionConfig(machine=THETA, trace=False, backend="tensor",
+                          wire="phantom")
     for name in radix_algorithms("uniform"):
         a = run_spmd(TensorAlltoall(name, BLOCK), 16, config=cfg)
         b = run_spmd(TensorAlltoall(name, BLOCK, radix=2), 16, config=cfg)

@@ -1,4 +1,4 @@
-"""Chaos harness: algorithms x fault plans x backends, asserting the
+"""Chaos harness: algorithms x fault plans, asserting the
 quadchotomy guarantee.
 
 Every cell of the sweep must end in exactly one of four states:
@@ -18,9 +18,9 @@ Every cell of the sweep must end in exactly one of four states:
    verification then names the exact (rank, source block, offset) of the
    escape rather than passing silently.
 
-Never a hang, never silent corruption reported as success.  The sweep
-also pins cross-backend determinism inside each cell: whatever a plan
-does, it does identically on ``threads`` and ``coop``.
+Never a hang, never silent corruption reported as success.  That whatever
+a plan does, it does identically under every schedule is pinned by
+``test_schedule_independence.py``.
 """
 
 import pytest
@@ -75,7 +75,7 @@ def _run(algorithm, *, backend, fault_plan, on_fault, verify, seed=17,
 
     return run_spmd(prog, NPROCS,
                     config=ExecutionConfig(machine=THETA, backend=backend,
-                                           timeout=60, fault_plan=fault_plan,
+                                           fault_plan=fault_plan,
                                            fault_seed=seed, on_fault=on_fault,
                                            reliability=reliability))
 
@@ -83,23 +83,19 @@ def _run(algorithm, *, backend, fault_plan, on_fault, verify, seed=17,
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_retry_absorbs_message_chaos(algorithm):
     """Arm 1: drop/dup/delay/reorder under the reliability transport must
-    yield byte-verified results, bit-identically on both backends."""
-    clocks = {}
-    for backend in ("threads", "coop"):
-        result = _run(algorithm, backend=backend, fault_plan=RETRY_PLAN,
-                      on_fault="retry", verify=True)
-        assert result.returns == list(range(NPROCS))
-        assert not result.degraded_ranks
-        assert result.metrics.total_faults > 0, "plan injected nothing"
-        clocks[backend] = tuple(result.clocks)
-    assert clocks["threads"] == clocks["coop"]
+    yield byte-verified results."""
+    result = _run(algorithm, backend="coop", fault_plan=RETRY_PLAN,
+                  on_fault="retry", verify=True)
+    assert result.returns == list(range(NPROCS))
+    assert not result.degraded_ranks
+    assert result.metrics.total_faults > 0, "plan injected nothing"
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("backend", ["threads", "coop"])
+@pytest.mark.parametrize("backend", ["coop"])
 def test_fail_fast_crash_is_typed_never_a_hang(algorithm, backend):
     """Arm 2: a planned crash under fail-fast tears the job down with a
-    typed SimMPIError naming the crashed rank — on both backends."""
+    typed SimMPIError naming the crashed rank."""
     with pytest.raises(SimMPIError, match="rank 2"):
         _run(algorithm, backend=backend, fault_plan=CRASH_PLAN,
              on_fault="fail-fast", verify=False)
@@ -117,7 +113,7 @@ def test_fail_fast_drop_is_typed_never_a_hang(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("backend", ["threads", "coop"])
+@pytest.mark.parametrize("backend", ["coop"])
 def test_degrade_yields_verified_partial(algorithm, backend):
     """Arm 3: under degrade the crashed rank is excised, survivors
     complete, and the result is explicitly flagged as partial."""
@@ -153,53 +149,44 @@ def test_degrade_partial_is_byte_verified_for_direct_algorithms():
         fn(comm, *vargs.as_tuple())
         return vargs.recvbuf.copy()
 
-    for backend in ("threads", "coop"):
-        result = run_spmd(prog, NPROCS,
-                          config=ExecutionConfig(machine=THETA,
-                                                 backend=backend, timeout=60,
-                                                 fault_plan=plan,
-                                                 on_fault="degrade"))
-        assert result.degraded_ranks == [dead]
-        for rank, recvbuf in enumerate(result.returns):
-            if rank == dead:
-                assert recvbuf is None
-                continue
-            # Degrade keeps the original buffer layout: live sources'
-            # blocks are byte-exact; the dead source's block either
-            # arrived intact (sent before the crash) or reads zeros.
-            want = expected_recv(rank, SIZES)
-            offset = 0
-            for src in range(NPROCS):
-                n = int(SIZES[src, rank])
-                got = recvbuf[offset:offset + n]
-                if src == dead and (got == 0).all():
-                    offset += n
-                    continue
-                if not (got == want[offset:offset + n]).all():
-                    # Localize the escape the same way verify_recv does:
-                    # name the receiving rank, source block, and offset.
-                    where = first_corrupted_block(rank, SIZES, recvbuf)
-                    raise AssertionError(
-                        f"rank {rank}: block from source {where[0]} "
-                        f"corrupted at offset {where[1]} ({where[2]})")
+    result = run_spmd(prog, NPROCS,
+                      config=ExecutionConfig(machine=THETA, fault_plan=plan,
+                                             on_fault="degrade"))
+    assert result.degraded_ranks == [dead]
+    for rank, recvbuf in enumerate(result.returns):
+        if rank == dead:
+            assert recvbuf is None
+            continue
+        # Degrade keeps the original buffer layout: live sources' blocks
+        # are byte-exact; the dead source's block either arrived intact
+        # (sent before the crash) or reads zeros.
+        want = expected_recv(rank, SIZES)
+        offset = 0
+        for src in range(NPROCS):
+            n = int(SIZES[src, rank])
+            got = recvbuf[offset:offset + n]
+            if src == dead and (got == 0).all():
                 offset += n
+                continue
+            if not (got == want[offset:offset + n]).all():
+                # Localize the escape the same way verify_recv does:
+                # name the receiving rank, source block, and offset.
+                where = first_corrupted_block(rank, SIZES, recvbuf)
+                raise AssertionError(
+                    f"rank {rank}: block from source {where[0]} "
+                    f"corrupted at offset {where[1]} ({where[2]})")
+            offset += n
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_stragglers_slow_but_never_break(algorithm):
-    """Stragglers are pure timing: results verify, clocks inflate, and
-    both backends agree on the inflated clocks."""
-    clocks = {}
-    for backend in ("threads", "coop"):
-        clean = _run(algorithm, backend=backend, fault_plan=None,
-                     on_fault="fail-fast", verify=True)
-        slow = _run(algorithm, backend=backend,
-                    fault_plan=STRAGGLER_PLAN, on_fault="fail-fast",
-                    verify=True)
-        assert slow.returns == list(range(NPROCS))
-        assert slow.elapsed > clean.elapsed
-        clocks[backend] = tuple(slow.clocks)
-    assert clocks["threads"] == clocks["coop"]
+    """Stragglers are pure timing: results verify and clocks inflate."""
+    clean = _run(algorithm, backend="coop", fault_plan=None,
+                 on_fault="fail-fast", verify=True)
+    slow = _run(algorithm, backend="coop", fault_plan=STRAGGLER_PLAN,
+                on_fault="fail-fast", verify=True)
+    assert slow.returns == list(range(NPROCS))
+    assert slow.elapsed > clean.elapsed
 
 
 # ----------------------------------------------------------------------
@@ -210,21 +197,16 @@ def test_stragglers_slow_but_never_break(algorithm):
 def test_verify_retry_absorbs_byzantine_chaos(algorithm):
     """Arm 1 (Byzantine edition): corrupt+forge+dup under the *verified*
     transport must yield byte-verified results — every tampered copy is
-    detected and retransmitted, every forged envelope rejected —
-    bit-identically on both backends."""
-    clocks = {}
-    for backend in ("threads", "coop"):
-        result = _run(algorithm, backend=backend, fault_plan=BYZANTINE_PLAN,
-                      on_fault="retry", verify=True, reliability="verify")
-        assert result.returns == list(range(NPROCS))
-        assert not result.degraded_ranks
-        assert result.metrics.total_faults > 0, "plan injected nothing"
-        clocks[backend] = tuple(result.clocks)
-    assert clocks["threads"] == clocks["coop"]
+    detected and retransmitted, every forged envelope rejected."""
+    result = _run(algorithm, backend="coop", fault_plan=BYZANTINE_PLAN,
+                  on_fault="retry", verify=True, reliability="verify")
+    assert result.returns == list(range(NPROCS))
+    assert not result.degraded_ranks
+    assert result.metrics.total_faults > 0, "plan injected nothing"
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("backend", ["threads", "coop"])
+@pytest.mark.parametrize("backend", ["coop"])
 def test_fail_fast_corrupt_is_typed_never_silent(algorithm, backend):
     """Arm 2 (Byzantine edition): with verification on but no retry
     policy, the first tampered delivery surfaces as a typed
@@ -237,7 +219,7 @@ def test_fail_fast_corrupt_is_typed_never_silent(algorithm, backend):
     assert isinstance(original, MessageCorruptError)
 
 
-@pytest.mark.parametrize("backend", ["threads", "coop"])
+@pytest.mark.parametrize("backend", ["coop"])
 def test_degrade_tombstones_byzantine_sender_as_flagged_partial(backend):
     """Arm 3 (Byzantine edition): under degrade, a sender whose traffic
     fails verification is tombstoned and the result is flagged partial —
@@ -252,7 +234,7 @@ def test_degrade_tombstones_byzantine_sender_as_flagged_partial(backend):
 
     result = run_spmd(prog, NPROCS,
                       config=ExecutionConfig(machine=THETA, backend=backend,
-                                             timeout=60, fault_plan=plan,
+                                             fault_plan=plan,
                                              on_fault="degrade",
                                              reliability="verify"))
     assert result.degraded_ranks == [3]

@@ -3,7 +3,7 @@
 The attribution contract is *conservation*: on every rank the six
 buckets sum — ``math.fsum``-exactly, not approximately — to the rank's
 final simulated clock, and the extracted path ends exactly at the run's
-makespan.  Both hold on the event-trace walk (threads/coop) and on the
+makespan.  Both hold on the event-trace walk (coop) and on the
 tensor backend's coarse step-log mode, clean and faulted.
 """
 
@@ -31,7 +31,7 @@ def _run(backend, trace, fault_plan=None, nprocs=NPROCS,
     sizes = block_size_matrix(distribution_by_name("power_law", 32),
                               nprocs, seed=7)
     cfg = ExecutionConfig(backend=backend, machine=machine, trace=trace,
-                          timeout=300, wire="phantom",
+                          wire="phantom",
                           fault_plan=fault_plan, fault_seed=23)
     return run_spmd(TensorAlltoallv(name, sizes), nprocs, config=cfg)
 
@@ -57,8 +57,7 @@ def _check_invariants(result, cp):
 
 
 @pytest.mark.parametrize("backend,trace", [
-    ("threads", "full"), ("coop", "full"), ("coop", "events"),
-    ("tensor", "metrics"),
+    ("coop", "full"), ("coop", "events"), ("tensor", "metrics"),
 ])
 def test_buckets_sum_to_makespan(backend, trace):
     result = _run(backend, trace)
@@ -69,7 +68,7 @@ def test_buckets_sum_to_makespan(backend, trace):
 
 
 @pytest.mark.parametrize("backend,trace", [
-    ("coop", "full"), ("threads", "full"), ("tensor", "metrics"),
+    ("coop", "full"), ("tensor", "metrics"),
 ])
 def test_faulted_attribution(backend, trace):
     result = _run(backend, trace, fault_plan=FAULT_SPEC)
@@ -151,7 +150,7 @@ def test_event_and_step_paths_agree_on_makespan():
 def test_uniform_alltoall_path():
     sizes_na = 16
     cfg = ExecutionConfig(backend="coop", machine=THETA, trace="full",
-                          timeout=300, wire="phantom")
+                          wire="phantom")
     result = run_spmd(TensorAlltoall("modified_bruck", sizes_na), 8,
                       config=cfg)
     cp = result.critical_path()

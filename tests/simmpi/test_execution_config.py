@@ -4,6 +4,7 @@ import pytest
 
 import repro.core.nonuniform
 import repro.core.uniform
+import repro.simmpi
 from repro.simmpi import (
     ExecutionConfig,
     FaultPlan,
@@ -24,13 +25,13 @@ class TestValidation:
         cfg = ExecutionConfig()
         assert cfg.machine is LOCAL
         assert cfg.trace == "full"
-        assert cfg.backend == "threads"
+        assert cfg.backend == "coop"
         assert cfg.wire == "bytes"
         assert cfg.on_fault == "fail-fast"
         assert cfg.fault_plan is None and cfg.reliability is None
 
     def test_unknown_backend_names_valid_set(self):
-        with pytest.raises(ValueError, match="threads.*coop.*tensor"):
+        with pytest.raises(ValueError, match="coop.*tensor"):
             ExecutionConfig(backend="cuda")
 
     def test_unknown_wire_names_valid_set(self):
@@ -56,10 +57,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="MachineProfile"):
             ExecutionConfig(machine="theta")
 
-    def test_bad_timeout(self):
-        with pytest.raises(ValueError, match="timeout"):
-            ExecutionConfig(timeout=0)
-
     def test_fault_plan_spec_string_parsed(self):
         cfg = ExecutionConfig(fault_plan="delay:d=10us,p=0.5")
         assert isinstance(cfg.fault_plan, FaultPlan)
@@ -83,12 +80,12 @@ class TestValidation:
     def test_frozen(self):
         cfg = ExecutionConfig()
         with pytest.raises(AttributeError):
-            cfg.backend = "coop"
+            cfg.backend = "tensor"
 
     def test_replace_revalidates(self):
         cfg = ExecutionConfig(machine=THETA)
-        coop = cfg.replace(backend="coop")
-        assert coop.backend == "coop" and coop.machine is THETA
+        tensor = cfg.replace(backend="tensor")
+        assert tensor.backend == "tensor" and tensor.machine is THETA
         with pytest.raises(ValueError):
             cfg.replace(backend="cuda")
 
@@ -118,17 +115,24 @@ class TestShim:
         assert res.config is cfg
 
 
-@pytest.mark.parametrize("access, error", [
-    (lambda: run_spmd(_prog, 2, machine=THETA), TypeError),
-    (lambda: run_spmd(_prog, 2, config="coop"), ValueError),
-    (lambda: repro.UNIFORM_ALGORITHMS, AttributeError),
-    (lambda: repro.core.NONUNIFORM_ALGORITHMS, AttributeError),
-    (lambda: repro.core.uniform.UNIFORM_ALGORITHMS, AttributeError),
-    (lambda: repro.core.nonuniform.NONUNIFORM_ALGORITHMS, AttributeError),
+@pytest.mark.parametrize("access, error, match", [
+    (lambda: run_spmd(_prog, 2, machine=THETA), TypeError, None),
+    (lambda: run_spmd(_prog, 2, config="coop"), ValueError, None),
+    (lambda: repro.UNIFORM_ALGORITHMS, AttributeError, None),
+    (lambda: repro.core.NONUNIFORM_ALGORITHMS, AttributeError, None),
+    (lambda: repro.core.uniform.UNIFORM_ALGORITHMS, AttributeError, None),
+    (lambda: repro.core.nonuniform.NONUNIFORM_ALGORITHMS, AttributeError,
+     None),
+    (lambda: ExecutionConfig(backend="threads"), ValueError,
+     r"\('coop', 'tensor'\)"),
+    (lambda: ExecutionConfig(timeout=1), TypeError, "timeout"),
+    (lambda: repro.simmpi.CoopNetwork, AttributeError, "CoopNetwork"),
 ], ids=["loose-kwarg", "config-not-a-config", "repro", "core", "uniform",
-        "nonuniform"])
-def test_removed_surfaces_stay_removed(access, error):
+        "nonuniform", "threads-backend", "timeout-field", "coop-network"])
+def test_removed_surfaces_stay_removed(access, error, match):
     # The kwarg shim and the *_ALGORITHMS alias dicts are gone: one way
-    # in (config=), one algorithm table (repro.core.registry).
-    with pytest.raises(error):
+    # in (config=), one algorithm table (repro.core.registry).  So are
+    # the thread-per-rank backend, its watchdog timeout and the separate
+    # cooperative fabric class: one per-rank executor, one Network.
+    with pytest.raises(error, match=match):
         access()

@@ -105,8 +105,7 @@ class TestEagerMonotonic:
 # ----------------------------------------------------------------------
 
 MAX_BLOCK = 32
-MATRIX = tuple((backend, wire) for backend in ("threads", "coop")
-               for wire in WIRE_MODES)
+MATRIX = tuple(("coop", wire) for wire in WIRE_MODES)
 #: (nprocs, ppn): even nodes, a partial last node, and a single node
 #: (ppn >= p) — the three shapes of the rank -> node mapping.
 SHAPES = ((16, 4), (13, 4), (5, 8))
@@ -127,8 +126,7 @@ def _run_hier(name, nprocs, ppn, backend, wire):
 
     return run_spmd(prog, nprocs,
                     config=ExecutionConfig(machine=machine, backend=backend,
-                                           trace=False, timeout=300,
-                                           wire=wire))
+                                           trace=False, wire=wire))
 
 
 @pytest.mark.parametrize("nprocs,ppn", SHAPES)
@@ -151,7 +149,7 @@ def test_tensor_hierarchical_clocks_bit_identical(name, nprocs, ppn):
     sizes = block_size_matrix(distribution_by_name("power_law", MAX_BLOCK),
                               nprocs, seed=11)
     spec = TensorAlltoallv(name, sizes)
-    base = dict(machine=machine, trace=False, timeout=300, wire="phantom")
+    base = dict(machine=machine, trace=False, wire="phantom")
     ref = run_spmd(spec, nprocs,
                    config=ExecutionConfig(backend="coop", **base))
     tens = run_spmd(spec, nprocs,
@@ -198,8 +196,7 @@ def test_locality_reduces_inter_node_traffic(name):
 
         res = run_spmd(prog, nprocs,
                        config=ExecutionConfig(machine=machine, backend="coop",
-                                              trace=True, timeout=300,
-                                              wire="phantom"))
+                                              trace=True, wire="phantom"))
         return sum(1 for tr in res.traces for e in tr.sends
                    if e.src // ppn != e.dst // ppn)
 

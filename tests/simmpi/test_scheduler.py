@@ -11,11 +11,11 @@ import pytest
 from repro.core.nonuniform import alltoallv
 from repro.simmpi import (
     BACKENDS,
-    CoopNetwork,
     CoopScheduler,
     DeadlockError,
     ExecutionConfig,
     LOCAL,
+    Network,
     THETA,
     run_spmd,
 )
@@ -68,7 +68,7 @@ def _settled_carrier_count(baseline):
 
 class TestBasics:
     def test_backends_constant(self):
-        assert BACKENDS == ("threads", "coop", "tensor")
+        assert BACKENDS == ("coop", "tensor")
 
     def test_invalid_backend(self):
         with pytest.raises(ValueError, match="backend"):
@@ -250,15 +250,14 @@ def test_golden_resume_order(monkeypatch, case):
 
 class TestExactDeadlockDetection:
     def test_immediate_despite_huge_timeout(self):
-        # The coop backend proves the deadlock the instant no rank can
-        # progress — the wall-clock watchdog value must be irrelevant.
+        # The scheduler proves the deadlock the instant no rank can
+        # progress — no wall-clock budget is ever waited out.
         def prog(comm):
             if comm.rank == 0:
                 comm.recv(np.zeros(1, dtype=np.uint8), 1, tag=7)
         start = time.monotonic()
         with pytest.raises(DeadlockError) as exc_info:
-            run_spmd(prog, 4,
-                     config=ExecutionConfig(backend="coop", timeout=100000))
+            run_spmd(prog, 4, config=COOP)
         assert time.monotonic() - start < 5.0
         msg = str(exc_info.value)
         assert "rank 0 waiting on src=1 tag=7" in msg
@@ -337,7 +336,7 @@ class TestFailurePropagation:
 
 class TestScale:
     def test_p256_uniform_bruck(self):
-        # Well past the thread backend's comfort zone, quick under coop.
+        # Hundreds of ranks: one parked carrier each, quick to run.
         from repro.core.registry import get_algorithm
         fn = get_algorithm("zero_rotation_bruck", kind="uniform").fn
         p = 256
@@ -379,14 +378,9 @@ class TestScale:
 
 class TestDirectSchedulerUse:
     def test_coop_network_outside_run_rejected(self):
-        sched = CoopScheduler(2)
-        net = CoopNetwork(2, LOCAL, scheduler=sched)
+        net = Network(2, LOCAL)
         with pytest.raises(RuntimeError, match="outside a scheduler run"):
             net.collect(0, 1, 0)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="sized for"):
-            CoopNetwork(4, LOCAL, scheduler=CoopScheduler(2))
 
     def test_invalid_nprocs(self):
         with pytest.raises(ValueError):

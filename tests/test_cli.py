@@ -124,12 +124,11 @@ class TestBackendSelection:
         assert "byte-verified" in out
 
     def test_run_coop_lifts_thread_limit(self, capsys):
-        # 300 ranks: refused on threads, accepted on coop.
-        assert main(["run", "-a", "vendor", "-p", "300", "-n", "4",
-                     "--machine", "local"]) == 2
-        assert "--backend coop" in capsys.readouterr().err
+        # 300 ranks with no --backend: the default coop backend has no
+        # few-hundred-rank cap.
         assert main(["run", "-a", "two_phase_bruck", "-p", "300", "-n", "4",
-                     "--machine", "local", "--backend", "coop"]) == 0
+                     "--machine", "local"]) == 0
+        assert "coop backend" in capsys.readouterr().out
 
     def test_run_coop_has_cap_too(self, capsys):
         assert main(["run", "-a", "vendor", "-p", "100000", "-n", "4",

@@ -33,7 +33,7 @@ def _run(trace="metrics", backend="tensor", ledger=None):
     sizes = block_size_matrix(distribution_by_name("power_law", 32),
                               NPROCS, seed=7)
     cfg = ExecutionConfig(backend=backend, machine=THETA, trace=trace,
-                          timeout=300, wire="phantom", ledger=ledger)
+                          wire="phantom", ledger=ledger)
     return run_spmd(TensorAlltoallv("two_phase_bruck", sizes), NPROCS,
                     config=cfg)
 
@@ -63,8 +63,8 @@ def test_run_record_contents():
 
 
 def test_fingerprint_stability():
-    sizesless = dict(machine=THETA, trace="metrics", timeout=300,
-                     wire="phantom", backend="tensor")
+    sizesless = dict(machine=THETA, trace="metrics", wire="phantom",
+                     backend="tensor")
     a = ExecutionConfig(**sizesless)
     b = ExecutionConfig(**sizesless)
     assert config_fingerprint(a) == config_fingerprint(b)
@@ -93,7 +93,7 @@ def test_append_and_read(tmp_path):
 
 
 @pytest.mark.parametrize("backend,trace", [
-    ("tensor", "metrics"), ("coop", "full"), ("threads", "metrics"),
+    ("tensor", "metrics"), ("coop", "full"), ("coop", "metrics"),
 ])
 def test_executor_appends_when_configured(tmp_path, backend, trace):
     path = tmp_path / "auto.jsonl"
@@ -108,9 +108,9 @@ def test_executor_appends_when_configured(tmp_path, backend, trace):
     assert rec["elapsed_s"] == result.elapsed
     assert rec["config_fingerprint"] == config_fingerprint(result.config)
     assert rec["metrics"]["total_messages"] == result.metrics.total_messages
-    if backend == "threads":
-        # metrics-only on threads: no event DAG and no tensor step log,
-        # so the record carries aggregates but no attribution.
+    if trace == "metrics" and backend == "coop":
+        # metrics-only on coop: no event DAG and no tensor step log, so
+        # the record carries aggregates but no attribution.
         assert rec["attribution"] is None
     else:
         assert rec["attribution"] is not None
@@ -130,7 +130,7 @@ def test_executor_stamps_radix_and_max_block(tmp_path):
     sizes = block_size_matrix(distribution_by_name("power_law", 32),
                               NPROCS, seed=7)
     cfg = ExecutionConfig(backend="tensor", machine=THETA, trace="metrics",
-                          timeout=300, wire="phantom", ledger=str(path))
+                          wire="phantom", ledger=str(path))
     run_spmd(TensorAlltoallv("two_phase_bruck", sizes, radix=4), NPROCS,
              config=cfg)
     run_spmd(TensorAlltoallv("two_phase_bruck", sizes), NPROCS, config=cfg)

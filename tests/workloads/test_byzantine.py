@@ -11,7 +11,7 @@ may be lost; safety is not).
 The protocols run over the simulator's control plane, so the seeded
 corrupt+forge+dup+reorder plans compose underneath them via the verified
 transport — the app-level adversary and the wire-level adversary are
-independent, and determinism holds across backends and wire modes.
+independent, and determinism holds across wire modes and schedules.
 """
 
 import math
@@ -45,8 +45,7 @@ def _dolev_prog(comm, **kw):
 
 
 def _cfg(**kw):
-    defaults = dict(machine=THETA, backend="threads", wire="bytes",
-                    trace="metrics", timeout=120)
+    defaults = dict(machine=THETA, wire="bytes", trace="metrics")
     defaults.update(kw)
     return ExecutionConfig(**defaults)
 
@@ -143,37 +142,35 @@ class TestDolev:
 
 
 class TestUnderWireChaos:
-    @pytest.mark.parametrize("backend", ["threads", "coop"])
     @pytest.mark.parametrize("wire", ["bytes", "phantom"])
-    def test_bracha_survives_seeded_chaos_under_verify(self, backend, wire):
+    def test_bracha_survives_seeded_chaos_under_verify(self, wire):
         """The tentpole composition: app-level liars AND wire-level
         corrupt+forge+dup+reorder, masked by the verified transport —
-        validity still holds, in every backend x wire cell."""
+        validity still holds, on both wires."""
         result = run_spmd(
             partial(_bracha_prog, broadcaster=0, f=2, byzantine=(1, 4),
                     strategy="forge"),
-            16, config=_cfg(backend=backend, wire=wire,
-                            reliability="verify", on_fault="retry",
-                            fault_plan=CHAOS_PLAN, fault_seed=11))
+            16, config=_cfg(wire=wire, reliability="verify",
+                            on_fault="retry", fault_plan=CHAOS_PLAN,
+                            fault_seed=11))
         assert {o.delivered for o in _honest(result)} == {VALUE}
         counts = result.metrics.fault_counts
         assert counts.get("corrupt", 0) > 0, "plan injected nothing"
 
     def test_chaos_runs_bit_identical_across_matrix(self):
-        """Clocks and fault counts agree across all four cells for the
+        """Clocks and fault counts agree across both wire cells for the
         chaos-composed Bracha run."""
         signatures = set()
-        for backend in ("threads", "coop"):
-            for wire in ("bytes", "phantom"):
-                result = run_spmd(
-                    partial(_bracha_prog, broadcaster=0, f=2,
-                            byzantine=(1, 4), strategy="forge"),
-                    16, config=_cfg(backend=backend, wire=wire,
-                                    reliability="verify", on_fault="retry",
-                                    fault_plan=CHAOS_PLAN, fault_seed=11))
-                signatures.add((tuple(result.clocks),
-                                tuple(sorted(
-                                    result.metrics.fault_counts.items()))))
+        for wire in ("bytes", "phantom"):
+            result = run_spmd(
+                partial(_bracha_prog, broadcaster=0, f=2, byzantine=(1, 4),
+                        strategy="forge"),
+                16, config=_cfg(wire=wire, reliability="verify",
+                                on_fault="retry", fault_plan=CHAOS_PLAN,
+                                fault_seed=11))
+            signatures.add((tuple(result.clocks),
+                            tuple(sorted(
+                                result.metrics.fault_counts.items()))))
         assert len(signatures) == 1
 
 
@@ -190,4 +187,4 @@ class TestRegistry:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             run_spmd(partial(_bracha_prog, strategy="bribe"), 4,
-                     config=_cfg(backend="coop"))
+                     config=_cfg())
