@@ -30,7 +30,7 @@ from .ledger import (
     run_record,
 )
 from .reporting import format_series_table, format_speedup, format_table
-from .runner import DEFAULT_ITERATIONS, run_functional_iterations, run_iterations
+from .runner import DEFAULT_ITERATIONS, run_iterations
 
 __all__ = [
     "LEDGER_VERSION",
@@ -59,6 +59,5 @@ __all__ = [
     "format_series_table",
     "format_speedup",
     "run_iterations",
-    "run_functional_iterations",
     "DEFAULT_ITERATIONS",
 ]

@@ -1,15 +1,16 @@
 """Per-figure experiment drivers for the paper's microbenchmark evaluation.
 
 One function per figure (Figs. 2, 6, 7, 8, 9, 10, 13); each returns plain
-data structures that the ``benchmarks/`` harness renders with
+data structures that ``benchmarks/figures.py`` renders with
 :mod:`repro.bench.reporting` and that the test suite asserts the paper's
 qualitative shapes on.  The application figures (11, 12) live with the
 applications in :mod:`repro.apps`.
 
 All microbenchmark timings come from :mod:`repro.timing` — the analytic
-engine validated bit-for-bit against the functional simulator — evaluated
-over ``iterations`` distinct workload seeds and summarized as median ± MAD,
-exactly the paper's protocol (§4: "minimum of 20 iterations").
+engine validated against the functional simulator to 1e-12 relative
+(``tests/timing/test_parity.py``) — evaluated over ``iterations``
+distinct workload seeds and summarized as median ± MAD, exactly the
+paper's protocol (§4: "minimum of 20 iterations").
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ The trade: ``P/g`` participants instead of ``P`` and ``g²``-times larger
 leader messages (better per-byte efficiency on the eager-penalized
 fabric), against two extra full-volume hops (member→leader and
 leader→member).  The paper notes these schemes suit *fixed, repeated*
-loads on shared-memory clusters; the bench
-(``benchmarks/bench_grouped.py``) shows where that trade wins and loses
+loads on shared-memory clusters; the ``grouped_related_work`` figure
+(``benchmarks/figures.py``) shows where that trade wins and loses
 against two-phase Bruck under this simulator's cost model.
 
 Implementation notes: group ``i`` is ranks ``[i*g, (i+1)*g)`` (the last

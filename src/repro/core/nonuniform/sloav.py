@@ -4,7 +4,8 @@ reimplemented from the paper's §6.1 description.
 SLOAV pioneered the coupled metadata/data Bruck exchange that two-phase
 Bruck refines.  The paper identifies four inefficiencies, all of which
 this implementation reproduces faithfully so the improvement of two-phase
-Bruck over SLOAV is measurable (``benchmarks/bench_sloav.py``):
+Bruck over SLOAV is measurable (the ``sloav_comparison`` and
+``sloav_phase_overheads`` entries of ``benchmarks/figures.py``):
 
 1. **Metadata management** — SLOAV couples the block-size array and the
    data blocks into one combined buffer per step: an extra pack on the

@@ -2,8 +2,8 @@
 
 ``predict_uniform`` covers the Fig. 2 variants; ``predict_alltoallv``
 covers the non-uniform algorithms of Figs. 6-10/13.  Both share the cost
-constants of :mod:`repro.simmpi` and are validated against it bit-for-bit
-at small ``P`` (exact mode).
+constants of :mod:`repro.simmpi` and agree with it to 1e-12 relative at
+small ``P`` (exact mode; ``tests/timing/test_parity.py``).
 """
 
 from .engine import (

@@ -4,9 +4,9 @@ Uniform all-to-all is perfectly symmetric: every rank executes identical
 work against identical partners, so all simulated clocks advance in
 lock-step and the per-rank recurrence collapses to a scalar recursion —
 ``arrival == own_depart + wire`` because the partner's depart equals ours.
-That makes 32K-rank predictions O(log P) scalar work, while remaining
-*bit-identical* to the functional simulator at small P (asserted in the
-integration tests).
+That makes 32K-rank predictions O(log P) scalar work, while agreeing with
+the functional simulator to 1e-12 relative at small P (asserted in
+``tests/timing/test_parity.py``).
 
 Each predictor returns a :class:`UniformTiming` with the same phase split
 the functional implementations trace (Fig. 2b's breakdown).

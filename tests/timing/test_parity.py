@@ -1,6 +1,6 @@
-"""The load-bearing integration tests: the analytic timing engine must be
-*bit-identical* to the functional simulator at small P (exact mode)
-and statistically consistent in CLT mode.
+"""The load-bearing integration tests: the analytic timing engine must
+agree with the functional simulator to 1e-12 relative at small P (exact
+mode) and be statistically consistent in CLT mode.
 
 These tests pin every constant of :mod:`repro.timing` to
 :mod:`repro.simmpi`: any drift between the two engines — a missed copy
