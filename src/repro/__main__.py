@@ -280,16 +280,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     events_on = args.level in ("full", "events")
-    # Recording per-event traces is cheap (copies are columns); what grows
-    # is the exported *document*, ~550 B per event: ~0.3 GB at P=256,
-    # ~1.3 GB at P=512.  Aggregate metrics are bounded and run at any P
-    # the chosen backend reaches (32K on tensor).
-    if args.out and events_on and args.nprocs > 256:
-        print("error: --out timelines are practical up to 256 ranks (the "
-              "document is ~550 B per event); drop --out to keep the "
-              "summary and --critical-path up to 1024 ranks",
-              file=sys.stderr)
-        return 2
+    # Per-event traces (and the --out document, one slice per copy run)
+    # stay practical up to 1024 ranks.  Aggregate metrics are bounded and
+    # run at any P the chosen backend reaches (32K on tensor).
     if events_on and args.nprocs > 1024:
         print("error: per-event traced runs are practical up to 1024 "
               "ranks; use --level metrics (with --backend coop or tensor) "
@@ -521,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "to the JSONL ledger at PATH")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the trace-event JSON here (needs --level "
-                        "full/events, <= 256 ranks; omit to print the "
+                        "full/events, <= 1024 ranks; omit to print the "
                         "summary only)")
     p.set_defaults(fn=cmd_trace)
 

@@ -8,7 +8,8 @@ an :class:`~repro.simmpi.executor.SPMDResult` into that format:
 * one track (process) per rank, named ``rank N``;
 * complete-duration slices (``"ph": "X"``) for phases, collectives,
   sends (injection overhead), receives (landing/serialization time),
-  copies and datatype-engine operations;
+  contiguous copy runs (one slice per run, not per copy) and
+  datatype-engine operations;
 * **flow arrows** (``"ph": "s"`` / ``"ph": "f"``) connecting each send
   slice to the matching receive slice on the destination rank, so message
   routes are visible as arrows in the timeline;
@@ -141,15 +142,7 @@ def _build_document(result: "SPMDResult", critical_path: bool) -> dict:
                            "args": {"src": e.src, "dst": e.dst,
                                     "tag": e.tag, "nbytes": e.nbytes,
                                     "detail": e.detail}})
-        # Copies are stored as columns (tracing.RankTrace.copy_columns):
-        # the same slices as _slice(), timestamps evaluated elementwise.
-        nbytes, start, end = tr.copy_columns()
-        events.extend([
-            {"name": "copy", "cat": "memory", "ph": "X", "pid": rank,
-             "tid": 0, "ts": ts, "dur": dur, "args": {"nbytes": n}}
-            for n, ts, dur in zip(
-                nbytes.tolist(), (start * _US).tolist(),
-                (np.maximum(0.0, end - start) * _US).tolist())])
+        events.extend(_copy_run_slices(rank, *tr.copy_columns()))
         for e in tr.datatype_ops:
             events.append(_slice(f"dt_{e.kind}", "memory", rank,
                                  e.start, e.end,
@@ -170,6 +163,32 @@ def _build_document(result: "SPMDResult", critical_path: bool) -> dict:
             "degraded_ranks": list(result.degraded_ranks),
         },
     }
+
+
+def _copy_run_slices(rank: int, nbytes: np.ndarray, start: np.ndarray,
+                     end: np.ndarray) -> List[dict]:
+    """One ``memory`` slice per contiguous run of a rank's copies.
+
+    Copy *i* joins the run of copy *i-1* iff it starts exactly where that
+    one ended (``start[i] == end[i-1]``).  A run's slice spans its first
+    copy's start to its last copy's end, with the scalar arithmetic of
+    :func:`_slice`, and carries ``{"copies": n, "bytes": total}``.
+    Per-copy detail stays in ``RankTrace.copy_columns()``.
+    """
+    n = len(nbytes)
+    if not n:
+        return []
+    first = np.flatnonzero(np.concatenate(([True], start[1:] != end[:-1])))
+    bounds = np.append(first, n)
+    return [{"name": "copy", "cat": "memory", "ph": "X", "pid": rank,
+             "tid": 0, "ts": ts, "dur": dur,
+             "args": {"copies": copies, "bytes": total}}
+            for ts, dur, copies, total in zip(
+                (start[first] * _US).tolist(),
+                (np.maximum(0.0, end[bounds[1:] - 1] - start[first])
+                 * _US).tolist(),
+                np.diff(bounds).tolist(),
+                np.add.reduceat(nbytes, first).tolist())]
 
 
 def _fabric_counter_events(result: "SPMDResult") -> List[dict]:

@@ -5,11 +5,21 @@ depend on whether a copy arrived alone or as part of a run.
 two arrays (``TraceBase.record_copies``); :class:`RankTrace` keeps them in
 typed columns, and ``critical_path`` / ``chrome_trace`` read the columns.
 Everything here pins that path against the per-copy one it replaced.
+
+The exported document does not keep one slice per copy: ``chrome_trace``
+folds each contiguous run of a rank's copies (copy *i* starts exactly
+where copy *i-1* ended) into one ``memory`` slice with
+``args = {"copies": n, "bytes": total}``.  The tests below pin where the
+runs split, that copies and bytes are conserved, that per rank the
+``math.fsum`` of run durations is the fsum of copy durations, and that no
+other event of the document depends on how the copies were recorded.
 """
 
 import dataclasses
 import gc
+import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +31,7 @@ from repro.core.registry import get_algorithm, list_algorithms
 from repro.simmpi import ExecutionConfig, THETA, chrome_trace, run_spmd
 from repro.simmpi import executor as executor_module
 from repro.simmpi.critical_path import _busy_length
-from repro.simmpi.trace_export import _slice
+from repro.simmpi.trace_export import _copy_run_slices, _slice
 from repro.simmpi.tracing import CopyEvent, MetricsTrace, RankTrace, TraceBase
 from repro.workloads import PowerLawBlocks, block_size_matrix, build_vargs
 
@@ -140,24 +150,91 @@ def _replayed_per_copy(result):
     return dataclasses.replace(result, traces=traces)
 
 
+def _is_copy_slice(ev):
+    return ev["name"] == "copy" and ev.get("cat") == "memory"
+
+
+def _assert_runs_fold_copies(slices, rank, nbytes, start, end):
+    """``slices`` are ``rank``'s copies, one per contiguous run."""
+    heads = [i for i in range(len(nbytes))
+             if i == 0 or start[i] != end[i - 1]]
+    stops = heads[1:] + [len(nbytes)]
+    # _slice()'s arithmetic, its key order and ints as ints: the
+    # serialised bytes depend on all three.
+    assert json.dumps(slices) == json.dumps([
+        _slice("copy", "memory", rank, float(start[a]), float(end[b - 1]),
+               {"copies": b - a, "bytes": int(nbytes[a:b].sum())})
+        for a, b in zip(heads, stops)])
+    assert sum(ev["args"]["copies"] for ev in slices) == len(nbytes)
+    assert sum(ev["args"]["bytes"] for ev in slices) == int(nbytes.sum())
+    # Exact per rank, in simulated seconds: chained copies telescope.
+    assert math.fsum(max(0.0, end[b - 1] - start[a])
+                     for a, b in zip(heads, stops)) == \
+        math.fsum(np.maximum(0.0, end - start).tolist())
+
+
 @pytest.mark.parametrize("nprocs", [5, 16])
 @pytest.mark.parametrize("name", list_algorithms("nonuniform"))
 def test_document_and_path_equal_per_copy_replay(name, nprocs):
     result = _two_phase(nprocs, "full", name=name, seed=nprocs)
     replay = _replayed_per_copy(result)
-    assert chrome_trace(result, critical_path=True) == \
-        chrome_trace(replay, critical_path=True)
+    doc = chrome_trace(result, critical_path=True)
+    assert doc == chrome_trace(replay, critical_path=True)
     ours, theirs = result.critical_path(), replay.critical_path()
     assert ours.per_rank == theirs.per_rank
     assert ours.path == theirs.path
-    # The elementwise timestamps are the scalar _slice() arithmetic, and
-    # the keys come in _slice()'s order (the serialised bytes depend on it).
-    slices = [ev for ev in chrome_trace(result)["traceEvents"]
-              if ev["name"] == "copy"]
-    assert json.dumps(slices) == json.dumps([
-        _slice("copy", "memory", tr.rank, e.start, e.end,
-               {"nbytes": e.nbytes})
-        for tr in result.traces for e in tr.copies])
+    slices = [ev for ev in doc["traceEvents"] if _is_copy_slice(ev)]
+    for tr in result.traces:
+        _assert_runs_fold_copies([ev for ev in slices if ev["pid"] == tr.rank],
+                                 tr.rank, *tr.copy_columns())
+    assert sum(ev["args"]["bytes"] for ev in slices) == \
+        sum(tr.bytes_copied for tr in result.traces)
+
+
+# Copy columns as integer ticks of 2**-20 s, so every clock difference is
+# exact; a zero gap chains a copy to the previous one, any other gap
+# (backwards too) starts a new run.
+copy_step = st.tuples(nbytes, st.just(0) | st.integers(-2 ** 10, 2 ** 20),
+                      st.integers(0, 2 ** 10))
+
+
+@given(steps=st.lists(copy_step, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_copy_runs_split_exactly_where_a_copy_does_not_chain(steps):
+    counts, starts, ends = [], [], []
+    clock = 2 ** 21
+    for n, gap, length in steps:
+        clock += gap
+        counts.append(n)
+        starts.append(clock)
+        clock += length
+        ends.append(clock)
+    nbytes = np.array(counts, dtype=np.int64)
+    start = np.array(starts, dtype=np.float64) * 2.0 ** -20
+    end = np.array(ends, dtype=np.float64) * 2.0 ** -20
+    _assert_runs_fold_copies(_copy_run_slices(7, nbytes, start, end),
+                             7, nbytes, start, end)
+
+
+# sha256 of each cell's document with its copy slices taken out, recorded
+# while the exporter still wrote one slice per copy: the run slices
+# changed nothing else (flows, counters, critical-path track, ordering).
+NON_COPY_DOCUMENT_SHA256 = {
+    "two_phase_bruck":
+        "dbc3b506d62b027b3659fafa4f3dd39a0ea0453192faad575966d33447440e76",
+    "vendor":
+        "c03a8b20bcba5d23c609e973609930f764d76f5ab547e707d72481d4ff0ced18",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_COPY_DOCUMENT_SHA256))
+def test_non_copy_events_unchanged_by_run_slices(name):
+    doc = chrome_trace(_two_phase(16, "full", name=name, seed=16),
+                       critical_path=True)
+    doc["traceEvents"] = [ev for ev in doc["traceEvents"]
+                          if not _is_copy_slice(ev)]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == \
+        NON_COPY_DOCUMENT_SHA256[name]
 
 
 # -- (d) tracers that predate record_copies -------------------------------
@@ -193,11 +270,12 @@ def test_hooks_only_tracer_sees_every_copy(monkeypatch):
                    for n, _, c in theirs.seen)
 
 
-# -- memory tripwire --------------------------------------------------------
+# -- memory tripwires --------------------------------------------------------
 
-def test_event_traces_retain_columns_not_objects():
-    """505 223 copies at P=256: ~15 MiB as three 8-byte columns, ~65 MiB
-    as one object per copy.  Counted, not timed, so it bites on any host."""
+@pytest.fixture(scope="module")
+def events_p256():
+    """The P=256 events cell, recorded once under tracemalloc: the result
+    and the bytes it retained."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -206,5 +284,27 @@ def test_event_traces_retain_columns_not_objects():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, retained
+
+
+def test_event_traces_retain_columns_not_objects(events_p256):
+    """505 223 copies at P=256: ~15 MiB as three 8-byte columns, ~65 MiB
+    as one object per copy.  Counted, not timed, so it bites on any host."""
+    result, retained = events_p256
     assert retained <= 24 * 2 ** 20, f"{retained / 2 ** 20:.1f} MiB retained"
     assert sum(len(tr.copy_columns()[0]) for tr in result.traces) > 500_000
+
+
+def test_document_scales_with_copy_runs_not_copies(events_p256):
+    """The same cell's document: 4 345 run slices instead of 505 223 copy
+    slices, ~20 MiB to build instead of ~265 MiB."""
+    result, _ = events_p256
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = chrome_trace(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB peak"
+    assert len(doc["traceEvents"]) <= 45_000

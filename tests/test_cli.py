@@ -90,13 +90,17 @@ class TestCommands:
     def test_trace_rejects_huge_p(self, capsys):
         assert main(["trace", "-p", "100000"]) == 2
 
-    def test_trace_out_capped_at_256_ranks(self, capsys, tmp_path):
-        # The exported document is what grows with P, not the recording.
+    def test_trace_out_above_256_ranks(self, capsys, tmp_path):
+        # One slice per copy run keeps the document small past P=256: it
+        # shares the 1024-rank cap of every per-event traced run.
         out_path = tmp_path / "trace.json"
         assert main(["trace", "-p", "257", "-n", "8", "--machine", "local",
-                     "--backend", "coop", "--out", str(out_path)]) == 2
-        assert "--out" in capsys.readouterr().err
-        assert not out_path.exists()
+                     "--backend", "coop", "--out", str(out_path)]) == 0
+        assert str(out_path) in capsys.readouterr().out
+        doc = json.loads(out_path.read_text())
+        assert doc["otherData"]["nprocs"] == 257
+        assert {e["pid"] for e in doc["traceEvents"]
+                if e.get("cat") == "memory"} == set(range(257))
 
     def test_trace_events_without_out_above_256_ranks(self, capsys):
         assert main(["trace", "-p", "257", "-n", "8", "--machine", "local",
