@@ -38,15 +38,27 @@ Three pieces:
 Determinism
 -----------
 Every probabilistic decision is a **pure function of the message's
-identity**, never of arrival order: the RNG for message *n* on channel
-``(src, dst, tag)`` is seeded from ``(plan seed, src, dst, tag, n)``
-(per-channel sequence numbers are deterministic because each channel has
-a single sender posting in program order).  The order in which ranks run
-therefore cannot change any fault decision, and the same ``(plan, seed)``
-produces bit-identical per-rank clocks, message counts, and fault-event
-sequences under every schedule, for both wire modes —
-``tests/simmpi/test_backend_equivalence.py`` and
-``tests/simmpi/test_schedule_independence.py`` enforce exactly that.
+identity**, never of arrival order.  Message *n* on channel
+``(src, dst, tag)`` gets one 64-bit digest ``d = blake2b(plan seed, src,
+dst, tag, n)`` (per-channel sequence numbers are deterministic because
+each channel has a single sender posting in program order), computed
+only when a matching rule needs a draw.  Rule *i* of ``plan.rules``
+reads its own word ``w_i = splitmix64(d + (i+1)*gamma)`` — the
+``(i+1)``-th output of a SplitMix64 stream seeded at ``d`` — and fires
+iff ``(w_i >> 11) * 2**-53 < prob`` (``prob >= 1`` fires without a
+draw).  A ``delay`` rule's jitter takes its uniform from one more mix of
+``w_i``.  A ``random.Random(w_i)`` is built only for a rule that fired
+and needs a dialogue: drop retransmissions under reliability, corrupt's
+bit flips and retransmissions, forge's fake auth tag and bytes.  Because
+every rule position owns its word, rules decide independently: a drop
+no longer swallows the duplicate that shared its first draw.  The order
+in which ranks run therefore cannot change any fault decision, and the
+same ``(plan, seed)`` produces bit-identical per-rank clocks, message
+counts, and fault-event sequences under every schedule, for both wire
+modes — ``tests/simmpi/test_backend_equivalence.py`` and
+``tests/simmpi/test_schedule_independence.py`` enforce exactly that, and
+``tests/simmpi/test_faults.py`` pins the stream itself with a golden
+digest.
 
 All injected faults are charged under the LogGP cost model in *simulated*
 time (a delayed message departs later; a retransmitted message arrives
@@ -105,6 +117,21 @@ def payload_digest(payload: bytes) -> int:
     """blake2b checksum of a payload, as stamped on verified envelopes."""
     return int.from_bytes(
         hashlib.blake2b(payload, digest_size=8).digest(), "big")
+
+
+#: SplitMix64's increment (2**64 over the golden ratio), its word mask,
+#: and the weight of one unit of a 53-bit uniform draw.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+_UNIT = 2.0 ** -53
+
+
+def _splitmix64(x: int) -> int:
+    """SplitMix64's output function: a bijective mix of a 64-bit word."""
+    x &= _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -463,31 +490,31 @@ class FaultInjector:
         #: only when the receiver would actually NACK (``on_fault=
         #: "retry"``), never under fail-fast/degrade.
         self.on_fault = on_fault
-        #: Per-channel post counters: message identity for RNG seeding and
-        #: (under reliability) the wire sequence number.
+        #: Per-channel post counters: message identity for the decision
+        #: digest and (under reliability) the wire sequence number.
         self._chan_seq: Dict[ChannelKey, int] = {}
         #: Reorder holds, keyed by *sender*: a held message is deposited
         #: behind the sender's next post (any channel), or at program end
         #: via :meth:`flush` — both pure program-order triggers, so the
         #: perturbed deposit order is still deterministic.
         self._held: Dict[int, Envelope] = {}
+        #: The message rules in plan order, each as ``(rule, offset,
+        #: anywhere)``: ``offset`` is ``(i+1)*gamma`` for rule position
+        #: ``i`` when the rule ever draws (``prob < 1``, jitter, or a
+        #: dialogue once fired) and None when it never does; ``anywhere``
+        #: is True for an all-wildcard rule, which skips the matcher.
+        dialogue = {"corrupt", "forge"}
+        if reliability is not None:
+            dialogue.add("drop")
+        self._rules = tuple(
+            (rule,
+             (i + 1) * _GAMMA if (rule.prob < 1.0 or rule.jitter > 0.0
+                                  or rule.kind in dialogue) else None,
+             rule.src is None and rule.dst is None and rule.tag is None
+             and rule.phase is None)
+            for i, rule in enumerate(self.plan.rules))
 
     # ------------------------------------------------------------------
-    def _rng(self, src: int, dst: int, tag: int, seq: int,
-             salt: str = "") -> random.Random:
-        """Per-message RNG: a pure function of the message identity.
-
-        ``salt`` gives each independent decision family (corrupt, forge)
-        its own stream, so e.g. a plan with both ``drop:p=0.1`` and
-        ``corrupt:p=0.1`` does not fire them on exactly the same
-        messages.
-        """
-        text = f"{self.seed}|{src}|{dst}|{tag}|{seq}"
-        if salt:
-            text += f"|{salt}"
-        digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-        return random.Random(int.from_bytes(digest, "big"))
-
     @property
     def verify(self) -> bool:
         """True when the verified-transport tier is on."""
@@ -509,7 +536,8 @@ class FaultInjector:
         several for duplicates or a released reorder) and the fault
         records describing every injected event.
         """
-        key = (env.src, env.dst, env.tag)
+        src, dst, tag = env.src, env.dst, env.tag
+        key = (src, dst, tag)
         seq = self._chan_seq.get(key, 0)
         self._chan_seq[key] = seq + 1
         if self.reliability is not None:
@@ -518,51 +546,55 @@ class FaultInjector:
                 # Verified-transport stamps.  ``declared`` mirrors the
                 # true size so phantom-mode tampering (a size skew) is
                 # detectable without payload bytes.
-                env.auth = auth_tag(env.src, env.dst, env.tag, seq)
+                env.auth = auth_tag(src, dst, tag, seq)
                 env.declared = env.nbytes
                 if env.payload is not None:
                     env.checksum = payload_digest(env.payload)
+        if not self._rules:
+            return [env], []
 
         records: List[FaultRecord] = []
-        rng: Optional[random.Random] = None
-
-        def fired(rule: FaultRule) -> bool:
-            nonlocal rng
-            if rule.prob >= 1.0:
-                return True
-            if rng is None:
-                rng = self._rng(env.src, env.dst, env.tag, seq)
-            return rng.random() < rule.prob
-
-        dropped = False
-        duplicate = False
-        reorder = False
-        corrupt_rule: Optional[FaultRule] = None
-        forge_rule: Optional[FaultRule] = None
-        for rule in self.plan.rules:
-            if not rule.matches(env.src, env.dst, env.tag, phase):
+        digest: Optional[int] = None
+        dropped = duplicate = reorder = False
+        corrupt: Optional[Tuple[FaultRule, int]] = None
+        forge: Optional[int] = None             # the fired forge rule's word
+        consulted = set()       # corrupt/forge: the first matching rule only
+        for rule, offset, anywhere in self._rules:
+            if not anywhere and not rule.matches(src, dst, tag, phase):
                 continue
-            if rule.kind == "drop" and not dropped:
-                dropped = self._apply_drop(env, rule, seq, records)
-            elif rule.kind == "delay":
-                if fired(rule):
-                    extra = rule.delay
-                    if rule.jitter > 0.0:
-                        if rng is None:
-                            rng = self._rng(env.src, env.dst, env.tag, seq)
-                        extra += rng.random() * rule.jitter
-                    env.depart += extra
-                    records.append(FaultRecord(
-                        "delay", env.src, env.dst, env.tag, env.nbytes,
-                        env.depart, f"+{extra:.3g}s", delay=extra))
-            elif rule.kind == "duplicate":
-                duplicate = duplicate or fired(rule)
-            elif rule.kind == "reorder":
-                reorder = reorder or fired(rule)
-            elif rule.kind == "corrupt" and corrupt_rule is None:
-                corrupt_rule = rule
-            elif rule.kind == "forge" and forge_rule is None:
-                forge_rule = rule
+            kind = rule.kind
+            if kind == "drop" and dropped or kind in consulted:
+                continue
+            if kind == "corrupt" or kind == "forge":
+                consulted.add(kind)
+            word = 0
+            if offset is not None:
+                if digest is None:
+                    text = f"{self.seed}|{src}|{dst}|{tag}|{seq}"
+                    digest = int.from_bytes(hashlib.blake2b(
+                        text.encode(), digest_size=8).digest(), "big")
+                word = _splitmix64(digest + offset)
+                if rule.prob < 1.0 and (word >> 11) * _UNIT >= rule.prob:
+                    continue
+            if kind == "drop":
+                dropped = self._apply_drop(env, rule, word, records)
+            elif kind == "delay":
+                extra = rule.delay
+                if rule.jitter > 0.0:
+                    extra += ((_splitmix64(word + _GAMMA) >> 11) * _UNIT
+                              * rule.jitter)
+                env.depart += extra
+                records.append(FaultRecord(
+                    "delay", src, dst, tag, env.nbytes, env.depart,
+                    f"+{extra:.3g}s", delay=extra))
+            elif kind == "duplicate":
+                duplicate = True
+            elif kind == "reorder":
+                reorder = True
+            elif kind == "corrupt":
+                corrupt = (rule, word)
+            else:
+                forge = word
 
         deposits: List[Envelope] = []
         if dropped and env.mark != "lost":
@@ -573,9 +605,8 @@ class FaultInjector:
         else:
             deposits.append(env)
             if duplicate and not dropped:
-                dup = Envelope(env.src, env.dst, env.tag, env.payload,
-                               env.depart, env.nbytes, seq=env.seq,
-                               mark="dup")
+                dup = Envelope(src, dst, tag, env.payload, env.depart,
+                               env.nbytes, seq=env.seq, mark="dup")
                 # A duplicate is a re-send of the genuine message, so it
                 # carries the genuine stamps (taken before any tamper —
                 # corrupt runs below and replaces, never mutates, the
@@ -585,8 +616,7 @@ class FaultInjector:
                 dup.declared = env.declared
                 deposits.append(dup)
                 records.append(FaultRecord(
-                    "duplicate", env.src, env.dst, env.tag, env.nbytes,
-                    env.depart))
+                    "duplicate", src, dst, tag, env.nbytes, env.depart))
 
         # Byzantine injections.  Corrupt tampers the delivered copy
         # (post-drop-resolution, so a retransmitted survivor can still be
@@ -595,12 +625,10 @@ class FaultInjector:
         # spoofed envelope *in front of* the genuine traffic on the same
         # channel — single-sender program order keeps the perturbed
         # deposit order deterministic.
-        if corrupt_rule is not None and deposits and env.mark != "lost":
-            self._apply_corrupt(env, corrupt_rule, seq, deposits, records)
-        if forge_rule is not None:
-            forged = self._apply_forge(env, forge_rule, seq, records)
-            if forged is not None:
-                deposits.insert(0, forged)
+        if corrupt is not None and deposits and env.mark != "lost":
+            self._apply_corrupt(env, *corrupt, deposits, records)
+        if forge is not None:
+            deposits.insert(0, self._apply_forge(env, forge, records))
 
         # Reorder bookkeeping: a held predecessor from this sender is
         # released *behind* whatever this post deposits (adjacent posts
@@ -610,11 +638,11 @@ class FaultInjector:
         # the deposit instant moves, which the receiver matches by tag
         # anyway.  :meth:`flush` releases a sender's final hold when its
         # program returns, so a hold can never outlive the run.
-        held = self._held.pop(env.src, None)
+        held = self._held.pop(src, None)
         if reorder and held is None and deposits:
-            self._held[env.src] = deposits.pop(0)
+            self._held[src] = deposits.pop(0)
             records.append(FaultRecord(
-                "reorder", env.src, env.dst, env.tag, env.nbytes,
+                "reorder", src, dst, tag, env.nbytes,
                 env.depart, "held behind sender's next post"))
         if held is not None:
             deposits.append(held)
@@ -629,25 +657,23 @@ class FaultInjector:
         """
         return self._held.pop(sender, None)
 
-    def _apply_drop(self, env: Envelope, rule: FaultRule, seq: int,
+    def _apply_drop(self, env: Envelope, rule: FaultRule, word: int,
                     records: List[FaultRecord]) -> bool:
-        """Decide the fate of one message under a drop rule.
+        """Carry out a fired drop rule; True if the message is not delivered.
 
-        Without reliability a single draw decides delivery.  With
-        reliability each transmission attempt draws independently; the
-        first surviving attempt delivers the message delayed by the
+        Without reliability the message vanishes.  With reliability each
+        retransmission draws independently from ``random.Random(word)``;
+        the first surviving attempt delivers the message delayed by the
         accumulated backoff, and exhaustion converts the envelope into a
         ``mark="lost"`` tombstone carrying its simulated deadline (so the
         receiver fails typed instead of hanging).
         """
-        rng = self._rng(env.src, env.dst, env.tag, seq)
-        if rng.random() >= rule.prob:
-            return False
         records.append(FaultRecord(
             "drop", env.src, env.dst, env.tag, env.nbytes, env.depart))
         rel = self.reliability
         if rel is None:
             return True
+        rng = random.Random(word)
         delay = 0.0
         for attempt in range(rel.max_retries):
             step = rel.rto * rel.backoff ** attempt
@@ -702,25 +728,26 @@ class FaultInjector:
             env.declared = env.nbytes + skew
         return k
 
-    def _apply_corrupt(self, env: Envelope, rule: FaultRule, seq: int,
+    def _apply_corrupt(self, env: Envelope, rule: FaultRule, word: int,
                        deposits: List[Envelope],
                        records: List[FaultRecord]) -> None:
-        """Decide and apply in-flight corruption of one message.
+        """Apply a fired corrupt rule to one message.
 
         Without the verified transport the tampered copy is simply
         delivered — silent corruption is exactly the failure mode the
         verify tier exists to rule out.  With ``verify`` + ``on_fault=
         "retry"`` the receiver NACKs a failed check, so the dialogue is
         precomputed here like :meth:`_apply_drop`'s: each retransmission
-        attempt draws corruption independently; the first clean copy ends
+        attempt draws corruption independently (bit flips and draws all
+        come from ``random.Random(word)``); the first clean copy ends
         the exchange, and exhaustion deposits a ``mark="corrupt_lost"``
         tombstone the receiver converts into a typed
         :class:`~repro.simmpi.errors.MessageCorruptError` at the
         simulated deadline.
         """
-        rng = self._rng(env.src, env.dst, env.tag, seq, salt="corrupt")
-        if rng.random() >= rule.prob or env.nbytes == 0:
+        if env.nbytes == 0:
             return
+        rng = random.Random(word)
         original = (env.payload, env.auth, env.checksum, env.declared)
 
         def clean_copy(depart: float, mark: Optional[str] = None) -> Envelope:
@@ -763,9 +790,9 @@ class FaultInjector:
             f"gave up after {rel.max_retries} retries"))
         deposits.append(tomb)
 
-    def _apply_forge(self, env: Envelope, rule: FaultRule, seq: int,
-                     records: List[FaultRecord]) -> Optional[Envelope]:
-        """Synthesize a spoofed envelope on the matched channel, or None.
+    def _apply_forge(self, env: Envelope, word: int,
+                     records: List[FaultRecord]) -> Envelope:
+        """Synthesize a spoofed envelope on the matched channel.
 
         The forgery claims the genuine message's ``(src, dst, tag)`` and
         size but carries adversarial contents and (under the verified
@@ -778,9 +805,7 @@ class FaultInjector:
         last) so phantom mode, which synthesizes no payload, consumes an
         identical RNG prefix.
         """
-        rng = self._rng(env.src, env.dst, env.tag, seq, salt="forge")
-        if rng.random() >= rule.prob:
-            return None
+        rng = random.Random(word)
         forged = Envelope(env.src, env.dst, env.tag, None, env.depart,
                           env.nbytes)
         fake_auth = rng.getrandbits(64)

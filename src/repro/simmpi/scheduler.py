@@ -13,9 +13,13 @@ run's :class:`~repro.simmpi.network.Network`:
   scheduler loop) runs at any instant.**  A parked carrier holds its own
   acquired lock and parks on ``acquire()``; the rank that blocks or
   finishes pops the next ``(clock, rank)`` itself and resumes it with one
-  ``release()`` — one OS wake-up per switch, never any lock contention, and
-  the network fast path takes no locks at all.  The loop thread only
-  starts the run and wakes when every rank finished or none is runnable.
+  ``release()`` — never any lock contention, and the network fast path
+  takes no locks at all.  The OS still pays about 1.5 voluntary and 1.4
+  involuntary context switches per hand-off (measured with ``getrusage``):
+  the woken carrier preempts the waker while the waker still holds the
+  GIL, then sleeps on the GIL.  Removing them is ROADMAP item 4.  The
+  loop thread only starts the run and wakes when every rank finished or
+  none is runnable.
 * The scheduler's run queue is ordered by **(simulated clock, rank id)**,
   so execution order is a pure function of the program's communication
   structure: re-running the same program replays the identical schedule.

@@ -23,6 +23,8 @@ a plan does, it does identically under every schedule is pinned by
 ``test_schedule_independence.py``.
 """
 
+import os
+
 import pytest
 
 from repro.core.registry import get_algorithm, list_algorithms
@@ -251,8 +253,38 @@ def test_degrade_tombstones_byzantine_sender_as_flagged_partial(backend):
             assert (recvbuf[offset:offset + n] == 0).all(), where
 
 
+@pytest.fixture
+def bounded_address_space():
+    """Cap this process's address space at its current size plus 2 GiB.
+
+    A corrupted count read off the wire can ask for a multi-GiB buffer.
+    Under memory overcommit that allocation succeeds, and the algorithm
+    then fills it until the host runs out of memory.  With the cap it
+    fails at once with :class:`MemoryError`, which is one of the loud
+    outcomes the test accepts, on every Linux host (elsewhere the test
+    runs uncapped).
+    """
+    try:
+        import resource
+        with open("/proc/self/statm") as f:
+            size = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + (2 << 30)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_byzantine_delivery_without_verify_is_never_silent(algorithm):
+def test_byzantine_delivery_without_verify_is_never_silent(
+        algorithm, bounded_address_space):
     """Arm 4: without the verify tier, tampered bytes reach the
     application (the transport has no way to notice).  The outcome must
     still be loud: either the harness's byte verification names the

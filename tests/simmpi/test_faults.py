@@ -6,6 +6,10 @@ the reliability retransmission schedule (including retry exhaustion into a
 ``mark="lost"`` tombstone), and the straggler/crash rule lookups.
 """
 
+import hashlib
+from itertools import combinations
+from math import sqrt
+
 import pytest
 
 from repro.simmpi import (
@@ -23,6 +27,7 @@ from repro.simmpi import (
     StragglerRule,
     run_spmd,
 )
+from repro.simmpi import faults
 from repro.simmpi.faults import auth_tag, payload_digest
 from repro.simmpi.network import Envelope
 
@@ -134,6 +139,105 @@ class TestInjectorDeterminism:
             interleaved.append(inj2.on_post(env(depart=float(i)), None)[1])
             inj2.on_post(env(src=5, dst=6, depart=float(i)), None)
         assert alone == interleaved
+
+
+class TestDecisionStream:
+    """The decision stream: one digest per message, one word per rule."""
+
+    #: The ``verify_chaos_p128`` benchmark workload's plan.
+    CHAOS = "corrupt:p=0.02;forge:p=0.01;drop:p=0.02;dup:p=0.03"
+    #: Retries enough that a p=0.5 drop is never lost, so a dropped
+    #: message still reaches the duplicate/corrupt/reorder stages.
+    NEVER_LOST = ReliabilityConfig(max_retries=60)
+    #: sha256 of :meth:`test_golden_stream`'s records.
+    GOLDEN = "11ab3edba8fe8d0e4aa3da15136482aa899c10464f6ae83d612152729e9c8d48"
+
+    @staticmethod
+    def _within_5_sigma(count, n, p):
+        return abs(count - n * p) <= 5 * sqrt(n * p * (1 - p))
+
+    def test_drop_does_not_swallow_duplicate(self):
+        # Regression: drop and duplicate used to read the same first
+        # draw, so with both at p=0.5 no surviving message was duplicated.
+        inj = FaultInjector(FaultPlan.parse("drop:p=0.5;dup:p=0.5"))
+        n = 4000
+        dups = sum(r.kind == "duplicate"
+                   for i in range(n)
+                   for r in inj.on_post(env(depart=float(i)), None)[1])
+        assert self._within_5_sigma(dups, n, 0.25), dups
+
+    @pytest.mark.parametrize("a,b", list(combinations(FAULT_KINDS, 2)))
+    def test_every_pair_of_kinds_fires_independently(self, a, b):
+        plan = FaultPlan(rules=(FaultRule(a, prob=0.5),
+                                FaultRule(b, prob=0.5)))
+        inj = FaultInjector(plan, seed=0, reliability=self.NEVER_LOST)
+        n = 4000
+        na = nb = both = 0
+        for i in range(n):
+            # One sender per post, so no reorder hold spans two posts.
+            e = Envelope(i, n, 0, None, 0.0, 64)
+            kinds = {r.kind for r in inj.on_post(e, None)[1]}
+            na += a in kinds
+            nb += b in kinds
+            both += a in kinds and b in kinds
+        assert self._within_5_sigma(na, n, 0.5), (a, na)
+        assert self._within_5_sigma(nb, n, 0.5), (b, nb)
+        assert self._within_5_sigma(both, n, na * nb / n ** 2), \
+            (a, b, na, nb, both)
+
+    def test_golden_stream(self):
+        # A change to the decision stream must show up here as a reviewed
+        # one-line diff, never as silent drift.
+        plan = FaultPlan.parse(
+            "drop:p=0.1;delay:d=10us,jitter=5us,p=0.3;dup:p=0.1;"
+            "reorder:p=0.1;corrupt:p=0.1;forge:p=0.05")
+        inj = FaultInjector(plan, seed=0,
+                            reliability=ReliabilityConfig(verify=True),
+                            on_fault="retry")
+        digest = hashlib.sha256()
+        kinds = set()
+        for i in range(500):
+            e = Envelope(i % 4, (i // 4) % 4, i % 3, bytes(16 + i % 48),
+                         i * 1e-6)
+            for r in inj.on_post(e, None)[1]:
+                kinds.add(r.kind)
+                digest.update(repr((r.kind, r.src, r.dst, r.tag,
+                                    repr(r.clock))).encode())
+        assert set(FAULT_KINDS) <= kinds
+        assert digest.hexdigest() == self.GOLDEN
+
+    def _count_rngs(self, monkeypatch):
+        made = [0]
+
+        class Counting(faults.random.Random):
+            def __init__(self, *args):
+                made[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(faults.random, "Random", Counting)
+        return made
+
+    def _post_many(self, spec, n=10000):
+        inj = FaultInjector(FaultPlan.parse(spec), seed=0,
+                            reliability=ReliabilityConfig(verify=True),
+                            on_fault="retry")
+        fired = 0
+        for i in range(n):
+            e = Envelope(i % 8, (i // 8) % 8, 0, None, 0.0, 64)
+            kinds = {r.kind for r in inj.on_post(e, None)[1]}
+            fired += len(kinds & {"drop", "corrupt", "forge"})
+        return fired
+
+    def test_draw_only_plan_builds_no_generator(self, monkeypatch):
+        made = self._count_rngs(monkeypatch)
+        self._post_many("delay:d=10us,jitter=5us,p=0.5;dup:p=0.1;"
+                        "reorder:p=0.1")
+        assert made[0] == 0
+
+    def test_generators_only_for_fired_dialogues(self, monkeypatch):
+        made = self._count_rngs(monkeypatch)
+        fired = self._post_many(self.CHAOS)
+        assert 0 < made[0] <= fired, (made[0], fired)
 
 
 class TestTransformations:
