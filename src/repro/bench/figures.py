@@ -6,11 +6,12 @@ data structures that ``benchmarks/figures.py`` renders with
 qualitative shapes on.  The application figures (11, 12) live with the
 applications in :mod:`repro.apps`.
 
-All microbenchmark timings come from :mod:`repro.timing` — the analytic
-engine validated against the functional simulator to 1e-12 relative
-(``tests/timing/test_parity.py``) — evaluated over ``iterations``
-distinct workload seeds and summarized as median ± MAD, exactly the
-paper's protocol (§4: "minimum of 20 iterations").
+All microbenchmark timings come from :mod:`repro.timing`: uniform
+predictions are tensor runs, bit-identical to coop, and non-uniform ones
+agree with the functional simulator to 1e-12 relative
+(``tests/timing/test_parity.py``).  Non-uniform timings are evaluated
+over ``iterations`` distinct workload seeds and summarized as median ±
+MAD, exactly the paper's protocol (§4: "minimum of 20 iterations").
 """
 
 from __future__ import annotations

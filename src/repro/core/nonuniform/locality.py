@@ -35,6 +35,7 @@ import numpy as np
 
 from ...simmpi.communicator import Communicator
 from ...simmpi.datatype import gather_index
+from ...simmpi.machine import ROT_INDEX_COST_PER_PROC
 from ..common import (
     as_byte_view,
     block_moved_before,
@@ -165,7 +166,7 @@ def locality_padded_bruck(comm: Communicator, sendbuf: np.ndarray,
                             rows[j][src_off:src_off + hn]
                     comm.charge_copy(hn)
             rot = rotation_index_array(g, nn)
-            comm.charge_compute(nn * 1.0e-9)
+            comm.charge_compute(nn * ROT_INDEX_COST_PER_PROC)
             node_recv = np.empty((nn, super_n), dtype=np.uint8)
             if comm.payload_enabled:
                 node_recv[g] = node_send[g]
@@ -307,7 +308,7 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
     if is_leader:
         with comm.phase(PHASE_SETUP):
             rot = rotation_index_array(g, nn)
-            comm.charge_compute(nn * 1.0e-9)
+            comm.charge_compute(nn * ROT_INDEX_COST_PER_PROC)
             # cur_table[h, j, i]: bytes from my member j to node h's
             # member i, for the super-blob currently keyed by node h
             # (Algorithm 1's working sendcounts, lifted to node level).

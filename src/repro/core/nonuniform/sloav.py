@@ -34,6 +34,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ...simmpi.communicator import Communicator
+from ...simmpi.machine import ROT_INDEX_COST_PER_PROC
 from ..common import (
     as_byte_view,
     checked_counts_displs,
@@ -110,7 +111,7 @@ def sloav_alltoallv(comm: Communicator, sendbuf: np.ndarray,
         # orientation, working slot j initially holds the caller's block
         # destined to (rank + j) % P.
         rot = (rank + np.arange(p, dtype=np.int64)) % p
-        comm.charge_compute(p * 1.0e-9)
+        comm.charge_compute(p * ROT_INDEX_COST_PER_PROC)
         temp = _GrowableTemp(comm, p)
         cur_counts = scounts.copy()   # size of the block at slot j, keyed
         # by the original destination index rot[j]

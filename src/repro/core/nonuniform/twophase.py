@@ -34,6 +34,7 @@ import numpy as np
 
 from ...simmpi.communicator import Communicator
 from ...simmpi.datatype import gather_index
+from ...simmpi.machine import ROT_INDEX_COST_PER_PROC
 from ..common import (
     as_byte_view,
     bruck_substeps,
@@ -84,7 +85,7 @@ def two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
         local_max = int(scounts.max()) if p else 0
         max_n = int(comm.allreduce(local_max, op="max"))
         rot = rotation_index_array(rank, p)          # I[j] = (2p - j) % P
-        comm.charge_compute(p * 1.0e-9)
+        comm.charge_compute(p * ROT_INDEX_COST_PER_PROC)
         if max_n == 0:
             return
         work = np.empty(p * max_n, dtype=np.uint8)   # monolithic buffer W

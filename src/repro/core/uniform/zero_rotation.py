@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...simmpi.communicator import Communicator
+from ...simmpi.machine import ROT_INDEX_COST_PER_PROC
 from ..common import (
     bruck_substeps,
     radix_block_moved_before,
@@ -54,7 +55,7 @@ def zero_rotation_bruck(comm: Communicator, sendbuf: np.ndarray,
     with comm.phase(PHASE_INDEX):
         rot = rotation_index_array(rank, p)  # I[j] = (2p - j) % P
         # O(P) integer work instead of O(P*n) copying; charge it honestly.
-        comm.charge_compute(p * 1.0e-9)
+        comm.charge_compute(p * ROT_INDEX_COST_PER_PROC)
 
     # Self block goes straight to its final slot.
     if comm.payload_enabled:

@@ -321,8 +321,12 @@ def _raise_first_failure(failures: List[Tuple[int, BaseException]]) -> None:
     rank, exc = min(pool, key=lambda f: f[0])
     if isinstance(exc, SimMPIError):
         raise exc
-    try:
-        wrapped = type(exc)(f"[simulated rank {rank}] {exc}")
-    except Exception:  # exotic exception signature: re-raise as-is
-        raise exc
-    raise wrapped from exc
+    # Rebuild from the nearest class that takes one message (numpy's
+    # _ArrayMemoryError wants (shape, dtype): MemoryError); BaseException
+    # always does.
+    for cls in type(exc).__mro__:
+        try:
+            wrapped = cls(f"[simulated rank {rank}] {exc}")
+        except Exception:
+            continue
+        raise wrapped from exc

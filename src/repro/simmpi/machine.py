@@ -66,8 +66,16 @@ from typing import Dict, Optional
 #: v2: piecewise eager tiering (monotone serial_time) + two-level hierarchy.
 MACHINE_MODEL_VERSION = 2
 
-__all__ = ["MachineProfile", "MACHINE_MODEL_VERSION", "THETA", "CORI",
-           "STAMPEDE2", "LOCAL", "get_profile", "PROFILES"]
+__all__ = ["MachineProfile", "MACHINE_MODEL_VERSION",
+           "ROT_INDEX_COST_PER_PROC", "THETA", "CORI", "STAMPEDE2", "LOCAL",
+           "get_profile", "PROFILES"]
+
+#: Compute charge (seconds) per entry of a rotation index array: the O(P)
+#: integer setup that replaces an O(P*n) rotation copy.  Every kernel and
+#: evaluator charges ``p * ROT_INDEX_COST_PER_PROC`` for a ``p``-entry
+#: array.  A module constant, not a profile field: it is the same on every
+#: machine.
+ROT_INDEX_COST_PER_PROC = 1.0e-9
 
 #: Default derivation ratios for intra-node constants when a profile does
 #: not set them explicitly: shared-memory transports have ~10x lower

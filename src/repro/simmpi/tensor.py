@@ -50,6 +50,7 @@ import numpy as np
 from .communicator import MAX_USER_TAG
 from .config import ExecutionConfig
 from .faults import FaultInjector
+from .machine import ROT_INDEX_COST_PER_PROC
 from .metrics import (Histogram, RunMetrics, max_overlap,
                       max_overlap_by_group)
 from .network import Envelope
@@ -1045,7 +1046,7 @@ def _eval_zero_rotation(eng: _Engine, n: int, *, tag_base: int = 0,
         return
     common = eng.common
     with eng.phase("index_setup"):
-        eng.charge_compute(p * 1.0e-9)
+        eng.charge_compute(p * ROT_INDEX_COST_PER_PROC)
     eng.charge_copy(n)
     with eng.phase("communication"):
         for sub in common.bruck_substeps(p, radix):
@@ -1121,7 +1122,7 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
     common = eng.common
     with eng.phase("setup"):
         eng.allreduce_rounds()
-        eng.charge_compute(p * 1.0e-9)
+        eng.charge_compute(p * ROT_INDEX_COST_PER_PROC)
         if sv.max() == 0:
             return
     state = sv.by_distance(L)
@@ -1159,7 +1160,7 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
 def _eval_sloav(eng: _Engine, sv: _SizeView, *, tag_base: int = 0) -> None:
     p, L = eng.p, eng.L
     with eng.phase("setup"):
-        eng.charge_compute(p * 1.0e-9)
+        eng.charge_compute(p * ROT_INDEX_COST_PER_PROC)
     cur = sv.row_matrix(L)           # block size at slot j's original dest
     temp_sizes = np.zeros((L, p), dtype=np.int64)
     stored = np.zeros(L, dtype=np.int64)
@@ -1504,7 +1505,7 @@ def _eval_locality_padded(eng: _Engine, sv: _SizeView, *,
         member_ok = np.arange(ppn)[None, :] < lsize[:, None]
         counts = base[None, :] * np.tile(member_ok, (1, nn))
         eng.copies_at(leads, counts)
-        eng.compute_at(leads, nn * 1.0e-9)
+        eng.compute_at(leads, nn * ROT_INDEX_COST_PER_PROC)
         eng.const_copies_at(leads, super_n, 1)             # self super-block
         node_i = np.arange(nn, dtype=np.int64)
         for k in range(K):
@@ -1556,7 +1557,7 @@ def _eval_locality_two_phase(eng: _Engine, sv: _SizeView, *,
                                          (S.sum(axis=1), t_up_d)])
 
     with eng.phase("setup"):
-        eng.compute_at(leads, nn * 1.0e-9)
+        eng.compute_at(leads, nn * ROT_INDEX_COST_PER_PROC)
 
     # Node-aggregated working sizes, exactly `cur` of _eval_two_phase
     # lifted to node granularity: curN[g, h] = current bytes of the

@@ -1,9 +1,10 @@
 """Analytic timing engine: the paper's figures at up to 32K simulated ranks.
 
-``predict_uniform`` covers the Fig. 2 variants; ``predict_alltoallv``
-covers the non-uniform algorithms of Figs. 6-10/13.  Both share the cost
-constants of :mod:`repro.simmpi` and agree with it to 1e-12 relative at
-small ``P`` (exact mode; ``tests/timing/test_parity.py``).
+``predict_uniform`` covers the Fig. 2 variants: it is a tensor run,
+bit-identical to coop.  ``predict_alltoallv`` covers the non-uniform
+algorithms of Figs. 6-10/13; it shares the cost constants of
+:mod:`repro.simmpi` and agrees with it to 1e-12 relative at small ``P``
+(exact mode).  Both are pinned by ``tests/timing/test_parity.py``.
 """
 
 from .engine import (
@@ -17,12 +18,11 @@ from .engine import (
 )
 from .nonuniform import (EXACT_LIMIT, NONUNIFORM_PREDICTABLE, TimingResult,
                          predict_alltoallv)
-from .uniform import UNIFORM_PREDICTORS, UniformTiming, predict_uniform
+from .uniform import UniformTiming, predict_uniform
 
 __all__ = [
     "predict_uniform",
     "UniformTiming",
-    "UNIFORM_PREDICTORS",
     "predict_alltoallv",
     "TimingResult",
     "NONUNIFORM_PREDICTABLE",

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.common import BlockSizeState, bruck_substeps
 from ..core.registry import get_algorithm
-from ..simmpi.machine import MachineProfile
+from ..simmpi.machine import ROT_INDEX_COST_PER_PROC, MachineProfile
 from ..workloads.distributions import BlockSizeDistribution
 from .engine import (
     bruck_step,
@@ -48,7 +48,6 @@ __all__ = ["TimingResult", "predict_alltoallv", "NONUNIFORM_PREDICTABLE",
 #: Largest P that ``mode="auto"`` evaluates exactly (a P x P matrix).
 EXACT_LIMIT = 2048
 
-_ROT_INDEX_COST_PER_PROC = 1.0e-9  # matches the functional implementations
 _PRICE_ELEMS = 1 << 16  # spread-out arrivals priced per chunk of offsets
 _META_ENTRY_BYTES = 4.0
 
@@ -150,7 +149,7 @@ def _two_phase_exact(machine: MachineProfile, sizes: np.ndarray,
     p = sizes.shape[0]
     clocks = np.zeros(p)
     clocks = dissemination_allreduce_cost(clocks, machine, p)
-    clocks = clocks + p * _ROT_INDEX_COST_PER_PROC
+    clocks = clocks + p * ROT_INDEX_COST_PER_PROC
     if int(sizes.max(initial=0)) == 0:
         return float(clocks.max())
     state = BlockSizeState.from_matrix(sizes)
@@ -205,7 +204,7 @@ def _uniform_zero_rotation_clocks(machine: MachineProfile, p: int,
                                   radix: int = 2) -> np.ndarray:
     """Clock effect of zero-rotation Bruck over uniform blocks (vectorized
     because the entering clocks may already differ across ranks)."""
-    clocks = clocks + p * _ROT_INDEX_COST_PER_PROC
+    clocks = clocks + p * ROT_INDEX_COST_PER_PROC
     clocks = clocks + machine.copy_time(block_n)  # self block
     for sub in bruck_substeps(p, radix):
         m = len(sub.distances)
@@ -341,7 +340,7 @@ def _two_phase_clt(machine: MachineProfile, p: int,
                    rng: np.random.Generator, radix: int = 2) -> float:
     clocks = np.zeros(p)
     clocks = dissemination_allreduce_cost(clocks, machine, p)
-    clocks = clocks + p * _ROT_INDEX_COST_PER_PROC
+    clocks = clocks + p * ROT_INDEX_COST_PER_PROC
     if dist.max_block == 0:
         return float(clocks.max())
     clocks = clocks + copy_time_vec(machine, dist.sample(rng, p))

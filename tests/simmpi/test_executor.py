@@ -83,6 +83,26 @@ class TestFailurePropagation:
         with pytest.raises(RuntimeError, match="boom-0"):
             run_spmd(prog, 3)
 
+    def test_exception_without_one_message_constructor_tagged(self):
+        # numpy's _ArrayMemoryError takes (shape, dtype), not a message;
+        # building one allocates nothing.
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:  # numpy < 2
+            from numpy.core._exceptions import _ArrayMemoryError
+
+        def prog(comm):
+            if comm.rank == 1:
+                raise _ArrayMemoryError((1 << 40,), np.dtype(np.uint8))
+        with pytest.raises(MemoryError, match=r"\[simulated rank 1\]") as ei:
+            run_spmd(prog, 3)
+        chain, exc = [], ei.value
+        while exc is not None:
+            chain.append(exc)
+            exc = exc.__cause__ or exc.__context__
+        assert not any(isinstance(e, TypeError) for e in chain)
+        assert isinstance(chain[1], _ArrayMemoryError)
+
 
 class TestPhaseAggregation:
     def test_phase_times_max_over_ranks(self):

@@ -1,6 +1,7 @@
-"""The load-bearing integration tests: the analytic timing engine must
-agree with the functional simulator to 1e-12 relative at small P (exact
-mode) and be statistically consistent in CLT mode.
+"""The load-bearing integration tests: the timing engine must agree with
+the functional simulator — exactly for uniform predictions, which are
+tensor runs, and to 1e-12 relative at small P for non-uniform exact mode —
+and be statistically consistent in CLT mode.
 
 These tests pin every constant of :mod:`repro.timing` to
 :mod:`repro.simmpi`: any drift between the two engines — a missed copy
@@ -11,26 +12,30 @@ import numpy as np
 import pytest
 
 from repro.core.nonuniform import alltoallv
+from repro.core.registry import list_algorithms
 from repro.core.uniform import alltoall
 from repro.simmpi import (CORI, LOCAL, STAMPEDE2, THETA, ExecutionConfig,
                           run_spmd)
 from repro.timing import predict_alltoallv, predict_uniform
-from repro.timing.uniform import UNIFORM_PREDICTORS
 from repro.workloads import UniformBlocks, block_size_matrix, build_vargs
 
 MACHINES = [THETA, CORI, STAMPEDE2, LOCAL]
+UNIFORM = list_algorithms("uniform")
 NONUNIFORM = ["two_phase_bruck", "padded_bruck", "padded_alltoall",
               "spread_out"]
 
 
-def functional_uniform(algorithm, machine, p, n):
+def functional_uniform_run(algorithm, machine, p, n, radix=2, trace=False):
     def prog(comm):
         send = np.zeros(p * n, dtype=np.uint8)
         recv = np.zeros(p * n, dtype=np.uint8)
-        alltoall(comm, send, recv, n, algorithm=algorithm)
+        alltoall(comm, send, recv, n, algorithm=algorithm, radix=radix)
     return run_spmd(prog, p,
-                    config=ExecutionConfig(machine=machine,
-                                           trace=False)).elapsed
+                    config=ExecutionConfig(machine=machine, trace=trace))
+
+
+def functional_uniform(algorithm, machine, p, n, radix=2):
+    return functional_uniform_run(algorithm, machine, p, n, radix).elapsed
 
 
 def functional_nonuniform(algorithm, machine, sizes):
@@ -43,32 +48,30 @@ def functional_nonuniform(algorithm, machine, sizes):
 
 
 class TestUniformParity:
+    """``predict_uniform`` is a tensor run: its total is the coop
+    makespan, bit for bit."""
+
     @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
-    @pytest.mark.parametrize("algorithm", sorted(UNIFORM_PREDICTORS))
+    @pytest.mark.parametrize("algorithm", UNIFORM)
     def test_bit_exact_p16(self, machine, algorithm):
         p, n = 16, 32
-        functional = functional_uniform(algorithm, machine, p, n)
-        predicted = predict_uniform(algorithm, machine, p, n).total
-        assert predicted == pytest.approx(functional, rel=1e-12, abs=1e-15)
+        assert predict_uniform(algorithm, machine, p, n).total \
+            == functional_uniform(algorithm, machine, p, n)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 8, 13, 24])
     @pytest.mark.parametrize("n", [1, 64, 1024])
     def test_bit_exact_across_shapes(self, p, n):
-        for algorithm in ("zero_rotation_bruck", "basic_bruck_dt",
-                          "spread_out"):
-            functional = functional_uniform(algorithm, THETA, p, n)
-            predicted = predict_uniform(algorithm, THETA, p, n).total
-            assert predicted == pytest.approx(functional, rel=1e-12,
-                                              abs=1e-15)
+        for algorithm in UNIFORM:
+            assert predict_uniform(algorithm, THETA, p, n).total \
+                == functional_uniform(algorithm, THETA, p, n), algorithm
 
     def test_rendezvous_sized_blocks(self):
         # Per-step Bruck messages crossing the eager threshold.
         p = 8
         n = THETA.eager_threshold  # m*n straddles the protocol switch
-        for algorithm in ("modified_bruck", "spread_out"):
-            functional = functional_uniform(algorithm, THETA, p, n)
-            predicted = predict_uniform(algorithm, THETA, p, n).total
-            assert predicted == pytest.approx(functional, rel=1e-12)
+        for algorithm in UNIFORM:
+            assert predict_uniform(algorithm, THETA, p, n).total \
+                == functional_uniform(algorithm, THETA, p, n), algorithm
 
     def test_zero_block_size(self):
         assert predict_uniform("basic_bruck", THETA, 8, 0).total == 0.0
@@ -77,15 +80,31 @@ class TestUniformParity:
         with pytest.raises(KeyError):
             predict_uniform("nope", THETA, 8, 8)
 
+    def test_invalid_nprocs(self):
+        with pytest.raises(ValueError, match="nprocs"):
+            predict_uniform("basic_bruck", THETA, 0, 8)
+
     def test_phase_split_sums_to_total(self):
-        t = predict_uniform("basic_bruck", THETA, 32, 64)
-        assert t.total == pytest.approx(
-            t.initial_rotation + t.communication + t.final_rotation
-            + t.index_setup)
-        assert t.final_rotation > 0
-        t2 = predict_uniform("zero_rotation_bruck", THETA, 32, 64)
-        assert t2.final_rotation == 0.0
-        assert t2.initial_rotation == 0.0
+        p, n = 32, 64
+        for algorithm in UNIFORM:
+            t = predict_uniform(algorithm, THETA, p, n)
+            parts = (t.initial_rotation, t.communication, t.final_rotation,
+                     t.index_setup)
+            assert min(parts) >= 0.0, algorithm
+            assert sum(parts) == pytest.approx(t.total, rel=1e-15), algorithm
+            # The rotation and index phases are the simulator's own.
+            coop = functional_uniform_run(algorithm, THETA, p, n,
+                                          trace="metrics").phase_times()
+            for name in ("initial_rotation", "final_rotation", "index_setup"):
+                assert getattr(t, name) == coop.get(name, 0.0), \
+                    (algorithm, name)
+            if algorithm.startswith("basic_bruck"):
+                assert t.initial_rotation > 0 and t.final_rotation > 0
+            if algorithm == "zero_rotation_bruck":
+                assert t.initial_rotation == t.final_rotation == 0.0
+                assert t.index_setup > 0
+            if algorithm in ("spread_out", "vendor"):
+                assert t.communication == t.total, algorithm
 
 
 class TestNonuniformExactParity:
@@ -212,18 +231,10 @@ class TestCLTConsistency:
 
 
 class TestRadixParity:
-    """The analytic predictors track the functional simulator at every
-    radix, and the radix-2 parameterization is the unmodified formula."""
+    """The predictors track the functional simulator at every radix, and
+    the radix-2 parameterization is the unmodified formula."""
 
     RADICES = (3, 4, 8)
-
-    def functional_uniform_radix(self, algorithm, machine, p, n, radix):
-        def prog(comm):
-            send = np.zeros(p * n, dtype=np.uint8)
-            recv = np.zeros(p * n, dtype=np.uint8)
-            alltoall(comm, send, recv, n, algorithm=algorithm, radix=radix)
-        return run_spmd(prog, p, config=ExecutionConfig(
-            machine=machine, trace=False)).elapsed
 
     def functional_nonuniform_radix(self, algorithm, machine, sizes, radix):
         def prog(comm):
@@ -238,12 +249,10 @@ class TestRadixParity:
     def test_uniform_predictors_track_simulator(self, p, radix):
         from repro.core.registry import radix_algorithms
         for algorithm in radix_algorithms("uniform"):
-            functional = self.functional_uniform_radix(
-                algorithm, THETA, p, 32, radix)
-            predicted = predict_uniform(algorithm, THETA, p, 32,
-                                        radix=radix).total
-            assert predicted == pytest.approx(
-                functional, rel=1e-12, abs=1e-15), (algorithm, radix)
+            assert predict_uniform(algorithm, THETA, p, 32,
+                                   radix=radix).total \
+                == functional_uniform(algorithm, THETA, p, 32, radix), \
+                (algorithm, radix)
 
     @pytest.mark.parametrize("radix", RADICES)
     @pytest.mark.parametrize("p", [5, 16, 17])
