@@ -10,11 +10,11 @@ Two tensor-backend runs and one event-level run under one wall budget:
 * P=32768 lockstep (the paper's largest configuration) with
   ``trace="metrics"`` — the vectorized aggregates and the attribution
   must hold at full paper scale, where per-event tracing is impossible;
-* P=1024 on coop x phantom with ``trace="events"`` — ten million copy
-  events held as columns: the event-DAG walk must conserve and end at
-  the makespan, agree with the tensor backend's buckets on the same
-  size matrix, and the traces must stay under 512 MiB (they are ~1.3 GiB
-  as one object per copy).
+* P=1024 on coop x phantom with ``trace="events"`` — ten million copied
+  blocks, one column row per copy batch: the event-DAG walk must
+  conserve and end at the makespan, agree with the tensor backend's
+  buckets on the same size matrix, and the traces must stay under
+  512 MiB (they are ~1.3 GiB as one object per copied block).
 
 Usage: PYTHONPATH=src python scripts/critical_path_smoke.py [budget_s]
 """
@@ -113,9 +113,11 @@ def check_events(nprocs: int) -> None:
         assert ev.congestion == st.congestion, ev.rank
         assert math.isclose(ev.overhead, st.overhead, rel_tol=1e-12), ev.rank
     copies = sum(len(tr.copy_columns()[0]) for tr in res.traces)
+    blocks = sum(tr.copy_count for tr in res.traces)
     print(f"P={nprocs:>6} {ALGORITHM} (coop, events): {wall:6.2f}s host "
-          f"wall, {res.elapsed * 1e3:10.4f} simulated ms, {copies} copy "
-          f"events in {retained / 2 ** 20:.0f} MiB, path of "
+          f"wall, {res.elapsed * 1e3:10.4f} simulated ms, {blocks} copied "
+          f"blocks in {copies} copy events, {retained / 2 ** 20:.0f} MiB, "
+          f"path of "
           f"{len(cp.path)} segments over {len(cp.path_ranks())} ranks")
 
 

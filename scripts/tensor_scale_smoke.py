@@ -11,7 +11,10 @@ bit-identical to the coop backend at small P.
 One cell runs the other way — one lane per rank over a real size matrix:
 power-law two-phase Bruck at P=4096, its clocks first checked against
 the coop backend at P=256 on the same distribution — so the L=P lanes
-path is exercised at scale outside the host benchmark too.  A second
+path is exercised at scale outside the host benchmark too.  Its
+`tracemalloc` peak stays under 48 MiB: a copy batch is two integer
+reductions per lane, so no (P/2) x P float64 block of per-copy seconds is
+held (that block alone is 64 MiB there).  A second
 check cell pins the leader-based `grouped` kernel to coop on a ragged
 layout (P=250 in groups of 8: 31 full groups and one of 2) over a
 power-law matrix, and its 32K-rank run must keep O(n_groups) state: a
@@ -30,7 +33,7 @@ from repro.simmpi import ExecutionConfig, THETA, run_spmd
 from repro.simmpi.tensor import TensorAlltoall, TensorAlltoallv
 from repro.workloads import PowerLawBlocks, block_size_matrix
 
-LANES_P, LANES_CHECK_P = 4096, 256
+LANES_P, LANES_CHECK_P, LANES_PEAK_MIB = 4096, 256, 48
 GROUPED_CHECK_P, GROUPED_PEAK_MIB = 250, 16
 
 
@@ -47,12 +50,20 @@ def lanes_cell(config: ExecutionConfig) -> None:
     lanes = TensorAlltoallv("two_phase_bruck",
                             block_size_matrix(dist, LANES_P, seed=11))
     t0 = time.perf_counter()
-    res = run_spmd(lanes, LANES_P, config=config)
+    tracemalloc.start()
+    try:
+        res = run_spmd(lanes, LANES_P, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     wall = time.perf_counter() - t0
     assert min(res.clocks) > 0 and len(res.clocks) == LANES_P
+    assert peak < LANES_PEAK_MIB * 2 ** 20, \
+        f"lanes at P={LANES_P} peaked at {peak / 2 ** 20:.1f} MiB"
     print(f"{'lanes/two_phase_bruck P=%d' % LANES_P:32s} {wall:7.2f}s "
           f"host wall  {max(res.clocks) * 1e3:12.4f} simulated ms  "
-          f"{res.total_messages:>12} messages")
+          f"{res.total_messages:>12} messages  {peak / 2 ** 20:.1f} MiB "
+          f"traced peak (ceiling {LANES_PEAK_MIB})")
 
 
 def grouped_cell(config: ExecutionConfig, nprocs: int, block: int) -> None:

@@ -26,6 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..simmpi.errors import WireCountError
+
 __all__ = [
     "num_steps",
     "send_block_distances",
@@ -33,6 +35,7 @@ __all__ = [
     "rotation_index_array",
     "as_byte_view",
     "checked_counts_displs",
+    "checked_wire_counts",
     "validate_uniform_args",
     "total_send_blocks_per_step",
     "validate_radix",
@@ -365,6 +368,27 @@ def checked_counts_displs(
             f"{int(counts[bad])}) exceeds buffer of {buf_nbytes} bytes"
         )
     return counts, displs
+
+
+#: MPI's counts and displacements are C ``int``.
+_MPI_INT_LIMIT = 1 << 31
+
+
+def checked_wire_counts(comm, collective: str, counts,
+                        extent: Optional[int] = None) -> np.ndarray:
+    """``counts`` read off the wire, as int64, once each of them and
+    ``extent`` — the buffer they size (default: their sum) — is known to
+    lie in MPI's ``int`` range; else a ``WireCountError``."""
+    arr = np.asarray(counts, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= _MPI_INT_LIMIT):
+        bad = (arr < 0) | (arr >= _MPI_INT_LIMIT)
+        raise WireCountError(comm.rank, collective, "count",
+                             int(arr.ravel()[np.argmax(bad.ravel())]))
+    if extent is None:
+        extent = int(arr.sum())      # below 2**63: every count is below 2**31
+    if not 0 <= extent < _MPI_INT_LIMIT:
+        raise WireCountError(comm.rank, collective, "buffer extent", extent)
+    return arr
 
 
 def validate_uniform_args(

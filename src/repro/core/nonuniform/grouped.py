@@ -29,7 +29,9 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ...simmpi.communicator import Communicator
-from ..common import as_byte_view, checked_counts_displs
+from ...simmpi.datatype import gather_index
+from ..common import (as_byte_view, checked_counts_displs,
+                      checked_wire_counts)
 
 __all__ = ["grouped_alltoallv"]
 
@@ -117,7 +119,8 @@ def grouped_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                     continue
                 mcounts = np.empty(p, dtype=np.int64)
                 comm.recv(mcounts, member, t + _TAG_UP_COUNTS)
-                mbuf = np.empty(int(_extent(mcounts, member)), dtype=np.uint8)
+                checked_wire_counts(comm, "grouped", mcounts)
+                mbuf = np.empty(int(mcounts.sum()), dtype=np.uint8)
                 comm.recv(mbuf, member, t + _TAG_UP_DATA)
                 group_counts[member] = mcounts
                 group_displs[member] = None  # filled below
@@ -151,25 +154,19 @@ def grouped_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                 other_leader = og * g
                 if og == my_group:
                     continue
-                dsts = _members(og, g, p)
-                cnts = np.asarray(
-                    [group_counts[src][d] for src in my_members
-                     for d in dsts], dtype=np.int64)
+                dsts = slice(other_leader, min(other_leader + g, p))
+                cnts = np.concatenate([group_counts[src][dsts]
+                                       for src in my_members])
                 blob = np.empty(int(cnts.sum()), dtype=np.uint8)
-                pos = 0
-                for src in my_members:
-                    sd = group_displs[src]
-                    buf = group_data[src]
-                    for d in dsts:
-                        c = int(group_counts[src][d])
-                        if c:
-                            if comm.payload_enabled:
-                                off = int(sd[d])
-                                blob[pos:pos + c] = buf[off:off + c]
-                            comm.charge_copy(c)
-                        pos += c
+                if comm.payload_enabled:
+                    blob[:] = np.concatenate([group_data[src][gather_index(
+                        group_displs[src][dsts], group_counts[src][dsts])]
+                        for src in my_members])
                 out_counts[other_leader] = cnts
                 out_blobs[other_leader] = blob
+            # Every blob build is one batch of copies.
+            comm.charge_copies(np.concatenate(
+                [np.empty(0, dtype=np.int64), *out_counts.values()]))
             for other_leader in out_counts:
                 reqs.append(comm.isend(out_counts[other_leader],
                                        other_leader, t + _TAG_LL_COUNTS,
@@ -184,6 +181,7 @@ def grouped_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                 srcs = _members(og, g, p)
                 cnts = np.empty(len(srcs) * len(my_members), dtype=np.int64)
                 comm.recv(cnts, other_leader, t + _TAG_LL_COUNTS)
+                checked_wire_counts(comm, "grouped", cnts)
                 blob = np.empty(int(cnts.sum()), dtype=np.uint8)
                 comm.recv(blob, other_leader, t + _TAG_LL_DATA)
                 pos = 0
@@ -205,17 +203,17 @@ def grouped_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                 # Source-ascending concatenation of everything destined
                 # to `member`.  Phantom mode skips the concatenation but
                 # still sizes the blob (from the real count headers) and
-                # charges the same per-block copies.
+                # charges the same batch: the own-group blocks.
                 parts = []
                 total = 0
+                own = [int(group_counts[src][member]) for src in my_members]
+                comm.charge_copies(own)
                 for src in range(p):
                     if _group_of(src, g) == my_group:
-                        c = int(group_counts[src][member])
-                        if c:
-                            if comm.payload_enabled:
-                                off = int(group_displs[src][member])
-                                parts.append(group_data[src][off:off + c])
-                            comm.charge_copy(c)
+                        c = own[src - leader]
+                        if c and comm.payload_enabled:
+                            off = int(group_displs[src][member])
+                            parts.append(group_data[src][off:off + c])
                         total += c
                     else:
                         part = incoming_by_pair.get((src, member))
@@ -229,28 +227,18 @@ def grouped_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                 else:
                     blob = np.empty(total, dtype=np.uint8)
                 if member == rank:
-                    _place(comm, rview, rcounts, rdis, blob, p)
+                    _place(comm, rview, rcounts, rdis, blob)
                 else:
                     comm.send(blob, member, t + _TAG_DOWN_DATA)
         else:
             blob = np.empty(int(rcounts.sum()), dtype=np.uint8)
             comm.recv(blob, leader, t + _TAG_DOWN_DATA)
-            _place(comm, rview, rcounts, rdis, blob, p)
-
-
-def _extent(counts: np.ndarray, member: int) -> int:
-    """Bytes of a member's canonical packed send buffer."""
-    return int(counts.sum())
+            _place(comm, rview, rcounts, rdis, blob)
 
 
 def _place(comm: Communicator, rview: np.ndarray, rcounts: np.ndarray,
-           rdis: np.ndarray, blob: np.ndarray, p: int) -> None:
+           rdis: np.ndarray, blob: np.ndarray) -> None:
     """Scatter a source-ascending blob into the receive buffer."""
-    pos = 0
-    for src in range(p):
-        c = int(rcounts[src])
-        if c:
-            if comm.payload_enabled:
-                rview[rdis[src]:rdis[src] + c] = blob[pos:pos + c]
-            comm.charge_copy(c)
-        pos += c
+    if comm.payload_enabled:
+        rview[gather_index(rdis, rcounts)] = blob
+    comm.charge_copies(rcounts)

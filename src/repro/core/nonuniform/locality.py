@@ -40,10 +40,12 @@ from ..common import (
     as_byte_view,
     block_moved_before,
     checked_counts_displs,
+    checked_wire_counts,
     num_steps,
     rotation_index_array,
     send_block_distances,
 )
+from .grouped import _place
 from .padded import PHASE_PAD, PHASE_SCAN, padded_bruck
 from .twophase import _META_DTYPE, _META_MAX, two_phase_bruck
 
@@ -69,19 +71,6 @@ def _node_shape(comm: Communicator, p: int):
 
 def _node_size(h: int, ppn: int, p: int) -> int:
     return min((h + 1) * ppn, p) - h * ppn
-
-
-def _place(comm: Communicator, rview: np.ndarray, rcounts: np.ndarray,
-           rdis: np.ndarray, blob: np.ndarray, p: int) -> None:
-    """Scatter a source-ascending blob into the receive buffer."""
-    pos = 0
-    for src in range(p):
-        c = int(rcounts[src])
-        if c:
-            if comm.payload_enabled:
-                rview[rdis[src]:rdis[src] + c] = blob[pos:pos + c]
-            comm.charge_copy(c)
-        pos += c
 
 
 # ======================================================================
@@ -122,6 +111,8 @@ def locality_padded_bruck(comm: Communicator, sendbuf: np.ndarray,
     with comm.phase(PHASE_PAD):
         local_max = int(scounts.max()) if p else 0
         max_n = int(comm.allreduce(local_max, op="max"))
+        checked_wire_counts(comm, "locality_padded_bruck", max_n,
+                            extent=p * max_n)
         if max_n == 0:
             return
         row_offs = np.arange(p, dtype=np.int64) * max_n
@@ -156,6 +147,7 @@ def locality_padded_bruck(comm: Communicator, sendbuf: np.ndarray,
             # A member row's blocks for node h are contiguous, so each
             # (h, j) pair is one hsize·N copy.
             node_send = np.empty((nn, super_n), dtype=np.uint8)
+            build = []
             for h in range(nn):
                 hn = _node_size(h, ppn, p) * max_n
                 src_off = h * ppn * max_n
@@ -164,7 +156,8 @@ def locality_padded_bruck(comm: Communicator, sendbuf: np.ndarray,
                         dst_off = j * ppn * max_n
                         node_send[h, dst_off:dst_off + hn] = \
                             rows[j][src_off:src_off + hn]
-                    comm.charge_copy(hn)
+                    build.append(hn)
+            comm.charge_copies(build)
             rot = rotation_index_array(g, nn)
             comm.charge_compute(nn * ROT_INDEX_COST_PER_PROC)
             node_recv = np.empty((nn, super_n), dtype=np.uint8)
@@ -294,6 +287,8 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
             for j in range(1, lsize):
                 mcounts = np.empty(p, dtype=np.int64)
                 comm.recv(mcounts, leader + j, t_up_c)
+                checked_wire_counts(comm, "locality_two_phase_bruck",
+                                    mcounts)
                 mbuf = np.empty(int(mcounts.sum()), dtype=np.uint8)
                 comm.recv(mbuf, leader + j, t_up_d)
                 d = np.zeros(p, dtype=np.int64)
@@ -343,6 +338,7 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
                 totals_out = cur_table[keys].sum(axis=(1, 2))
                 out_total = int(totals_out.sum())
                 stage = np.empty(out_total, dtype=np.uint8)
+                pack = []
                 pos = 0
                 for a in range(m):
                     key = int(keys[a])
@@ -353,7 +349,7 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
                         tot = int(totals_out[a])
                         if comm.payload_enabled:
                             stage[pos:pos + tot] = blob
-                        comm.charge_copy(tot)
+                        pack.append(tot)
                         pos += tot
                     else:
                         # Fresh: one contiguous segment per member (the
@@ -366,10 +362,12 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
                                 off = int(gdis[j][key * ppn])
                                 stage[pos:pos + seg] = \
                                     gdata[j][off:off + seg]
-                            comm.charge_copy(seg)
+                            pack.append(seg)
                             pos += seg
+                comm.charge_copies(pack)
                 sreq = comm.isend(stage, send_rank, t_data + 2 * k)
-                tables_in = meta_in.astype(np.int64)
+                tables_in = checked_wire_counts(
+                    comm, "locality_two_phase_bruck", meta_in)
                 totals_in = tables_in.sum(axis=(1, 2))
                 in_total = int(totals_in.sum())
                 incoming = np.empty(in_total, dtype=np.uint8)
@@ -377,6 +375,7 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
                 sreq.wait()
                 rreq.wait()
                 finished = dist_arr < (1 << (k + 1))
+                comm.charge_copies(totals_in)
                 pos = 0
                 for a in range(m):
                     tot = int(totals_in[a])
@@ -385,7 +384,6 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
                         parked = incoming[pos:pos + tot].copy()
                     else:
                         parked = np.empty(tot, dtype=np.uint8)
-                    comm.charge_copy(tot)
                     if finished[a]:
                         # Super-blob from origin node `slot`, destined to
                         # my node.  Validate the slice addressed to me.
@@ -413,39 +411,36 @@ def locality_two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
         if is_leader:
             for i in range(lsize):
                 parts = []
-                total = 0
+                sizes = []
                 for s in range(p):
                     h, j = divmod(s, ppn)
                     if h == g:
                         c = int(gcounts[j][leader + i])
-                        if c:
-                            if comm.payload_enabled:
-                                off = int(gdis[j][leader + i])
-                                parts.append(gdata[j][off:off + c])
-                            comm.charge_copy(c)
-                        total += c
+                        if c and comm.payload_enabled:
+                            off = int(gdis[j][leader + i])
+                            parts.append(gdata[j][off:off + c])
                     else:
                         tbl = fin_table[h]
                         c = int(tbl[j, i])
-                        if c:
-                            if comm.payload_enabled:
-                                # Blob layout is (origin member, dest
-                                # member) row-major, zero-size entries
-                                # contributing nothing.
-                                off = int(tbl.ravel()[:j * ppn + i].sum())
-                                parts.append(fin_blob[h][off:off + c])
-                            comm.charge_copy(c)
-                        total += c
+                        if c and comm.payload_enabled:
+                            # Blob layout is (origin member, dest member)
+                            # row-major, zero-size entries contributing
+                            # nothing.
+                            off = int(tbl.ravel()[:j * ppn + i].sum())
+                            parts.append(fin_blob[h][off:off + c])
+                    sizes.append(c)
+                comm.charge_copies(sizes)
+                total = sum(sizes)
                 if comm.payload_enabled:
                     blob = (np.concatenate(parts) if parts
                             else np.empty(0, dtype=np.uint8))
                 else:
                     blob = np.empty(total, dtype=np.uint8)
                 if i == 0:
-                    _place(comm, rview, rcounts, rdis, blob, p)
+                    _place(comm, rview, rcounts, rdis, blob)
                 else:
                     comm.send(blob, leader + i, t_down)
         else:
             blob = np.empty(int(rcounts.sum()), dtype=np.uint8)
             comm.recv(blob, leader, t_down)
-            _place(comm, rview, rcounts, rdis, blob, p)
+            _place(comm, rview, rcounts, rdis, blob)

@@ -31,7 +31,8 @@ import numpy as np
 
 from ...simmpi.communicator import Communicator
 from ...simmpi.datatype import gather_index
-from ..common import as_byte_view, checked_counts_displs
+from ..common import (as_byte_view, checked_counts_displs,
+                      checked_wire_counts)
 from ..uniform.zero_rotation import zero_rotation_bruck
 
 __all__ = ["padded_bruck", "padded_alltoall"]
@@ -56,6 +57,8 @@ def _pad_exchange_scan(comm: Communicator, sendbuf: np.ndarray,
     with comm.phase(PHASE_PAD):
         local_max = int(scounts.max()) if p else 0
         max_n = int(comm.allreduce(local_max, op="max"))
+        checked_wire_counts(comm, "padded_alltoall" if use_vendor_alltoall
+                            else "padded_bruck", max_n, extent=p * max_n)
         if max_n == 0:
             return
         row_offs = np.arange(p, dtype=np.int64) * max_n

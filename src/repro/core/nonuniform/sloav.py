@@ -38,6 +38,7 @@ from ...simmpi.machine import ROT_INDEX_COST_PER_PROC
 from ..common import (
     as_byte_view,
     checked_counts_displs,
+    checked_wire_counts,
     num_steps,
     send_block_distances,
 )
@@ -142,8 +143,8 @@ def sloav_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                     else:
                         off = int(sdis[keys[a]])
                         combined[pos:pos + cnt] = sview[off:off + cnt]
-                    comm.charge_copy(cnt)
                 pos += cnt
+            comm.charge_copies(meta_out)
             # Header message: the combined buffer's size.  Both messages
             # are control plane — SLOAV couples the size array *into* the
             # data message (the §6.1(1) flaw), so the receiver must read
@@ -155,6 +156,7 @@ def sloav_alltoallv(comm: Communicator, sendbuf: np.ndarray,
             comm.sendrecv(header_out, dst, tag_base + 2 * k,
                           header_in, src_rank, tag_base + 2 * k,
                           control=True)
+            checked_wire_counts(comm, "sloav", header_in)
             incoming = np.empty(int(header_in[0]), dtype=np.uint8)
             comm.sendrecv(combined, dst, tag_base + 2 * k + 1,
                           incoming, src_rank, tag_base + 2 * k + 1,
@@ -163,6 +165,8 @@ def sloav_alltoallv(comm: Communicator, sendbuf: np.ndarray,
             # every received block in the temp store — SLOAV defers final
             # placement to the scan.
             meta_in = incoming[:4 * m].copy().view(_META_DTYPE)
+            checked_wire_counts(comm, "sloav", meta_in,
+                                extent=4 * m + int(meta_in.sum()))
             comm.charge_copy(4 * m)
             pos = 4 * m
             for a, j in enumerate(dist):
@@ -176,11 +180,9 @@ def sloav_alltoallv(comm: Communicator, sendbuf: np.ndarray,
         # (rank - j) % P; rotate the pointer array into source order.
         rotated: Dict[int, np.ndarray] = {}
         for j in range(1, p):
-            src = (rank - j) % p
             if j in temp:
-                block = temp.load(j)
-                rotated[src] = block
-                comm.charge_copy(block.nbytes)
+                rotated[(rank - j) % p] = temp.load(j)
+        comm.charge_copies([block.nbytes for block in rotated.values()])
 
     with comm.phase(PHASE_SCAN):
         # Final scan: copy every block from temp/send into the receive
@@ -202,4 +204,4 @@ def sloav_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                 )
             if cnt:
                 rview[rdis[src]:rdis[src] + cnt] = rotated[src]
-                comm.charge_copy(cnt)
+        comm.charge_copies(np.delete(rcounts, rank))

@@ -39,6 +39,7 @@ from ..common import (
     as_byte_view,
     bruck_substeps,
     checked_counts_displs,
+    checked_wire_counts,
     rotation_index_array,
 )
 
@@ -84,6 +85,8 @@ def two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
         # rotation index array I.
         local_max = int(scounts.max()) if p else 0
         max_n = int(comm.allreduce(local_max, op="max"))
+        checked_wire_counts(comm, "two_phase_bruck", max_n,
+                            extent=p * max_n)
         rot = rotation_index_array(rank, p)          # I[j] = (2p - j) % P
         comm.charge_compute(p * ROT_INDEX_COST_PER_PROC)
         if max_n == 0:
@@ -143,7 +146,7 @@ def two_phase_bruck(comm: Communicator, sendbuf: np.ndarray,
                             src[gather_index(src_offs[grp], counts_out[grp])]
             comm.charge_copies(counts_out)
             sreq = comm.isend(stage, send_rank, data_tag)
-            counts_in = meta_in.astype(np.int64)
+            counts_in = checked_wire_counts(comm, "two_phase_bruck", meta_in)
             in_total = int(counts_in.sum())
             incoming = np.empty(in_total, dtype=np.uint8)
             rreq = comm.irecv(incoming, recv_rank, data_tag)

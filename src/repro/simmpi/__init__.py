@@ -45,6 +45,7 @@ from .errors import (
     RankFailedError,
     SimMPIError,
     TruncationError,
+    WireCountError,
 )
 from .executor import (
     BACKENDS,
@@ -112,6 +113,7 @@ __all__ = [
     "InjectedCrashError",
     "MessageLostError",
     "MessageCorruptError",
+    "WireCountError",
     "run_spmd",
     "SPMDResult",
     "ExecutionConfig",

@@ -523,26 +523,23 @@ class Communicator:
         self._trace.record_copy(int(nbytes), self._clock, begin=begin)
 
     def charge_copies(self, counts: Sequence[int]) -> None:
-        """Charge one copy per entry of ``counts``, in order.
+        """Charge a batch of copies, one per positive entry of ``counts``.
 
-        Bit-identical to calling :meth:`charge_copy` in a Python loop — the
-        per-copy times are evaluated with the same IEEE expressions and the
-        clock advances through the same left-to-right float additions (via
-        ``np.add.accumulate``) — but the per-block interpreter overhead
-        collapses into one vectorized call, and the tracer receives the
-        run as those two arrays (``record_copies``).  This is what keeps the
-        Two-Phase/Padded staging loops' cost accounting cheap at P=1024+.
-        Non-positive entries are skipped, exactly like ``charge_copy``.
+        The clock advances once, by ``copy_time_blocks(nz, total)`` over
+        the ``nz`` positive entries and their byte ``total`` (DESIGN.md
+        §5.4): the batch is priced by block count and volume, not as a
+        chain of per-copy additions.  The tracer sees one copy event
+        carrying both numbers.  Non-positive entries are skipped, exactly
+        like ``charge_copy``; a batch of none is free.
         """
         arr = np.asarray(counts, dtype=np.int64)
         arr = arr[arr > 0]
         if arr.size == 0:
             return
-        m = self.machine
-        times = m.kappa_mem + m.gamma_mem * arr.astype(np.float64)
-        clocks = np.add.accumulate(np.concatenate(([self._clock], times)))
-        self._trace.record_copies(arr, clocks)
-        self._clock = float(clocks[-1])
+        nblocks, nbytes = arr.size, int(arr.sum())
+        begin = self._clock
+        self._clock += self.machine.copy_time_blocks(nblocks, nbytes)
+        self._trace.record_copy_blocks(nblocks, nbytes, self._clock, begin)
 
     def pack(self, buffer: Buffer, blocks: IndexedBlocks) -> np.ndarray:
         """Datatype-engine pack: gather ``blocks`` of ``buffer``, charging

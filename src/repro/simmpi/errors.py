@@ -23,6 +23,7 @@ __all__ = [
     "InjectedCrashError",
     "MessageLostError",
     "MessageCorruptError",
+    "WireCountError",
 ]
 
 
@@ -181,3 +182,21 @@ class MessageCorruptError(SimMPIError):
         self.tag = tag
         self.clock = clock
         self.reason = reason
+
+
+class WireCountError(SimMPIError, ValueError):
+    """A count read off the wire, or the buffer extent it sets, is not a
+    C ``int`` in ``[0, 2**31)``.  Raised before anything is allocated, so
+    poisoned metadata (tampered bytes delivered without the verify tier)
+    ends here rather than in a multi-GiB allocation."""
+
+    def __init__(self, rank: int, collective: str, what: str,
+                 value: int) -> None:
+        super().__init__(
+            f"rank {rank}: {collective} read {what} {value} off the wire; "
+            f"MPI counts must lie in [0, 2**31)"
+        )
+        self.rank = rank
+        self.collective = collective
+        self.what = what
+        self.value = value

@@ -33,6 +33,8 @@ at the receiver)                ``+ max(0, n - T))`` with
                                 per-byte penalty; the remainder streams
 receive completion              ``clock = max(clock, depart + head) + serial``
 local copy of *n* bytes         ``kappa_mem + gamma_mem * n``
+batch of *b* copies, *n* bytes  ``b * kappa_mem + gamma_mem * n`` (one
+                                clock advance per ``charge_copies`` call)
 datatype pack/unpack,           ``dt_block * b + dt_byte * n``
 *b* blocks / *n* bytes
 ==============================  =============================================
@@ -286,6 +288,12 @@ class MachineProfile:
         if nbytes <= 0:
             return 0.0
         return self.kappa_mem + self.gamma_mem * nbytes
+
+    def copy_time_blocks(self, nblocks, nbytes):
+        """Time for a batch of ``nblocks`` copies moving ``nbytes`` bytes in
+        all; the same bits for Python ints and NumPy arrays, and equal to
+        ``copy_time(n)`` for one block of ``n > 0`` bytes."""
+        return nblocks * self.kappa_mem + self.gamma_mem * nbytes
 
     def datatype_time(self, nblocks: int, nbytes: int) -> float:
         """Time for the datatype engine to pack/unpack ``nblocks`` blocks."""

@@ -12,13 +12,12 @@ same expressions the analytic model is pinned to) and replays every charge
 the functional kernels make, in per-rank program order, with the same IEEE
 arithmetic:
 
-* sequential clock advances fold through ``np.add.accumulate`` — the exact
-  left-to-right float additions of a ``charge_copy`` loop — or, where the
-  charges come as distance-major rows of the shared block-size state
-  (two-phase Bruck), as one in-place row add per block, which gives every
-  lane the same chain (DESIGN.md §5.4 states the order rule);
-* zero-byte charges contribute ``+0.0`` (IEEE: ``c + 0.0 == c``), matching
-  the kernels' ``if nbytes:`` guards without branching;
+* a ``charge_copies`` batch is one clock advance per lane,
+  ``copy_time_blocks(nz, total)`` from two integer reductions of its
+  counts, exactly as the communicator charges it (DESIGN.md §5.4);
+* sequential single charges fold in program order, and zero-byte charges
+  contribute ``+0.0`` (IEEE: ``c + 0.0 == c``), matching the kernels'
+  ``if nbytes:`` guards without branching;
 * receive completion is the simulator's one rule:
   ``clock = max(clock, depart + head_latency(n)) + serial_time(n, P)``.
 
@@ -60,9 +59,8 @@ __all__ = ["TensorProgram", "TensorAlltoall", "TensorAlltoallv",
 
 _INTERNAL_TAG_STRIDE = 8   # mirrors communicator._INTERNAL_TAG_STRIDE
 _FOLD_CHUNK = 512          # accumulate block width for per-lane folds
-_CONST_CHUNK = 1 << 16     # accumulate width for repeated-constant folds
-#: Rows of a substep are read, priced and rolled this many bytes (per
-#: array) at a time, so the three passes stay in cache at large L.
+#: Rows of a substep are read, counted and rolled this many bytes (per
+#: array) at a time, so the passes stay in cache at large L.
 _PIECE_BYTES = 1 << 18
 
 #: Node-aware kernels whose leader/member programs diverge whenever the
@@ -510,45 +508,23 @@ class _Engine:
         self.clocks = self.clocks + self.timing.datatype_time_vec(
             self.machine, nblocks, nbytes)
 
-    def charge_copies(self, counts) -> None:
-        """Sequential per-block copies, exactly ``Communicator.charge_copies``.
+    def charge_copies(self, counts, axis: int = -1) -> None:
+        """One ``Communicator.charge_copies`` batch per lane.
 
         ``counts`` is a shared 1-D sequence (same for every lane) or a
-        per-lane ``(L, k)`` matrix.  Zero entries fold as ``+0.0``.
+        per-lane matrix whose batches run along ``axis``; non-positive
+        entries are skipped.
         """
+        self.clocks = self.clocks + self._batch_time(counts, axis)
+
+    def _batch_time(self, counts, axis: int = -1) -> np.ndarray:
+        """``copy_time_blocks`` of each batch of ``counts`` over its
+        positive entries: their number and their int64 sum."""
         arr = np.asarray(counts, dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.shape[1] == 0:
-            return
-        self.clocks = _fold(self.clocks,
-                            self.copy_seconds(arr, np.empty(arr.shape)))
-
-    def copy_seconds(self, counts: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-        """``copy_time`` of every entry of an int64 count block, written
-        into ``out`` (``kappa + gamma * n``; zero-byte blocks ``+0.0``)
-        with no float temporary of the block's size."""
-        m = self.machine
-        np.multiply(counts, m.gamma_mem, out=out)
-        np.add(out, m.kappa_mem, out=out)
-        return np.multiply(out, counts > 0, out=out)
-
-    def fold_rows(self, seconds: np.ndarray, shift: int = 0) -> None:
-        """Sequential charges from a distance-major ``(k, L)`` block: each
-        lane's clock takes its entry of row 0, then of row 1, … — the
-        left-to-right float additions of the kernels' ``charge_copies``
-        loop, never a pairwise reduction — done as one in-place row add
-        per block.  With ``shift`` lane ``r`` reads column
-        ``(r + shift) % L``: the rows as they stand after rolling by
-        ``-shift``.  A single lane folds along the row axis instead."""
-        if self.L == 1:
-            self.clocks = _fold(self.clocks, seconds.T)
-            return
-        clocks = np.roll(self.clocks, shift)
-        for row in seconds:
-            clocks += row
-        self.clocks = np.roll(clocks, -shift)
+        if arr.size and arr.min() < 0:
+            arr = np.maximum(arr, 0)
+        return self.machine.copy_time_blocks(
+            (arr != 0).sum(axis=axis, dtype=np.int64), arr.sum(axis=axis))
 
     # -- message posting / completion -----------------------------------
     def _account(self, nbytes, messages: int) -> None:
@@ -852,41 +828,22 @@ class _Engine:
             mt.on_step_end(self, tag)
 
     def copies_at(self, sel: np.ndarray, counts: np.ndarray) -> None:
-        """Sequential copies on a lane subset: ``counts[i]`` is the block
-        sequence of lane ``sel[i]`` (zero entries free)."""
-        arr = np.asarray(counts, dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.shape[1] == 0:
-            return
-        self.clocks[sel] = _fold(self.clocks[sel],
-                                 self.copy_seconds(arr, np.empty(arr.shape)))
+        """``charge_copies`` on a lane subset: ``counts[i]`` is the batch
+        of lane ``sel[i]``."""
+        self.clocks[sel] = self.clocks[sel] + self._batch_time(counts)
 
     def const_copies_at(self, sel: np.ndarray, value: int,
                         counts) -> None:
-        """``counts[i]`` sequential copies of the same ``value`` bytes on
-        lane ``sel[i]``.  Lanes sharing (start clock, count) fold once —
-        the repeated-constant fold is a pure function of both."""
-        if value <= 0:
-            return
-        m = self.machine
-        t = m.kappa_mem + m.gamma_mem * float(value)
-        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64),
-                                 (len(sel),))
-        start = self.clocks[sel]
-        pairs = np.stack([start, counts.astype(np.float64)], axis=1)
-        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-        folded = np.empty(len(uniq), dtype=np.float64)
-        for i in range(len(uniq)):
-            c = uniq[i, 0]
-            remaining = int(uniq[i, 1])
-            while remaining > 0:
-                step = min(remaining, _CONST_CHUNK)
-                c = float(np.add.accumulate(
-                    np.concatenate(([c], np.full(step, t))))[-1])
-                remaining -= step
-            folded[i] = c
-        self.clocks[sel] = folded[inv]
+        """``charge_copies`` of ``counts[i]`` copies of ``value`` bytes on
+        lane ``sel[i]``."""
+        if value > 0:
+            self.blocks_at(sel, counts, np.multiply(counts, value))
+
+    def blocks_at(self, sel: np.ndarray, nblocks, nbytes) -> None:
+        """A batch of ``nblocks[i]`` copies moving ``nbytes[i]`` bytes on
+        lane ``sel[i]``."""
+        self.clocks[sel] = self.clocks[sel] \
+            + self.machine.copy_time_blocks(nblocks, nbytes)
 
     # -- results --------------------------------------------------------
     def final_clocks(self) -> List[float]:
@@ -898,9 +855,9 @@ class _Engine:
 def _fold(clocks: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Left-fold ``times`` rows onto ``clocks`` with the same sequential
     float additions as a ``+=`` loop.  ``times`` has one row (shared) or
-    one row per lane.  Many lanes take one in-place add per column (as
-    :meth:`_Engine.fold_rows` does); a single lane runs
-    ``np.add.accumulate`` along its row, chunked to bound memory."""
+    one row per lane.  Many lanes take one in-place add per column; a
+    single lane runs ``np.add.accumulate`` along its row, chunked to bound
+    memory."""
     L = len(clocks)
     if L > 1:
         c = clocks.copy()
@@ -957,12 +914,6 @@ class _SizeView:
         if self.is_const:
             return np.full(self.p, self.const, dtype=np.int64)
         return self.mat
-
-    def col(self):
-        """Per-rank recvcounts: shared ``(p,)`` or per-lane ``(p, p)``."""
-        if self.is_const:
-            return np.full(self.p, self.const, dtype=np.int64)
-        return np.ascontiguousarray(self.mat.T)
 
     def self_block(self):
         if self.is_const:
@@ -1113,7 +1064,7 @@ def _eval_padded(eng: _Engine, sv: _SizeView, *, vendor: bool,
     else:
         _eval_zero_rotation(eng, max_n, tag_base=tag_base, radix=radix)
     with eng.phase("scan"):
-        eng.charge_copies(sv.col())
+        eng.charge_copies(sv.row(), axis=0)      # column r: rank r's recvs
 
 
 def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
@@ -1128,33 +1079,34 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
     state = sv.by_distance(L)
     eng.charge_copy(state.rows[0])              # distance 0: the self block
     subs = common.bruck_substeps(p, radix)
-    # Scratch, allocated once per run: the copy seconds of every block a
-    # substep moves, and the counts of one cache-sized piece of them.
+    # Scratch for one cache-sized piece of a substep's moving rows,
+    # allocated once per run.
     widest = max((len(sub.distances) for sub in subs), default=0)
     piece = max(1, _PIECE_BYTES // (8 * L))
     counts = np.empty((min(piece, widest), L), dtype=state.rows.dtype)
-    seconds = np.empty((widest, L), dtype=np.float64)
     for sub in subs:
         m = len(sub.distances)
         with eng.phase("metadata_exchange"):
             eng.exchange(-sub.jump, 4 * m, tag_base + 2 * sub.index)
         with eng.phase("data_exchange"):
-            # Read, price and roll the moving rows piece by piece (nothing
-            # reads the state again before the next substep); the folds
-            # and the exchange then see the whole substep.
+            # Read, count and roll the moving rows piece by piece (nothing
+            # reads the state again before the next substep): per lane,
+            # the pack batch's block count and bytes.
+            nz_out = np.zeros(L, dtype=np.int64)
             out_total = np.zeros(L, dtype=np.int64)
             for lo in range(0, m, piece):
                 dist = sub.distances[lo:lo + piece]
                 moving = state.read(dist, out=counts[:len(dist)])
                 out_total += moving.sum(axis=0, dtype=np.int64)
-                eng.copy_seconds(moving, out=seconds[lo:lo + len(dist)])
+                nz_out += (moving != 0).sum(axis=0, dtype=np.uint32)
                 state.roll(dist, sub.jump, moving)
-            eng.fold_rows(seconds[:m])                          # pack
+            pack = eng.machine.copy_time_blocks(nz_out, out_total)
+            eng.clocks = eng.clocks + pack
             eng.exchange(-sub.jump, out_total,
                          tag_base + 2 * sub.index + 1)
             # Unpack: what each rank received is what the rank `jump`
-            # above it packed — the same rows, read through the roll.
-            eng.fold_rows(seconds[:m], shift=sub.jump)
+            # above it packed.
+            eng.clocks = eng.clocks + np.roll(pack, -sub.jump)
 
 
 def _eval_sloav(eng: _Engine, sv: _SizeView, *, tag_base: int = 0) -> None:
@@ -1188,10 +1140,7 @@ def _eval_sloav(eng: _Engine, sv: _SizeView, *, tag_base: int = 0) -> None:
     with eng.phase("scan"):
         eng.charge_copy(sv.self_block())
         rc = sv.col_matrix(L)
-        if L == 1:
-            rc[0, 0] = 0      # the self entry is skipped (same fold on
-        else:                 # every rank: the remaining values are equal)
-            rc[eng.lane, eng.lane] = 0
+        rc[eng.lane, eng.lane] = 0        # the self entry is skipped
         eng.charge_copies(rc)
 
 
@@ -1214,8 +1163,9 @@ def _sloav_store_scalar(eng: _Engine, sub, meta_in,
     # first visit (no lower bit set in its distance).
     held = running[at] - np.where(dist[at] & ((1 << sub.step) - 1),
                                   0, cnt[at])
-    seconds = np.insert(eng.copy_seconds(cnt, np.empty(len(cnt))), at,
-                        eng.copy_seconds(held, np.empty(len(held))))
+    copy_time = eng.timing.copy_time_vec
+    seconds = np.insert(copy_time(eng.machine, cnt), at,
+                        copy_time(eng.machine, held))
     eng.clocks = np.add.accumulate(
         np.concatenate((eng.clocks, seconds)))[-1:]
     temp_sizes[0, dist] = cnt
@@ -1366,23 +1316,23 @@ def _leader_exchange(eng: _Engine, sv: _SizeView, layout, tag: int) -> None:
     mt, injector = eng.metrics, eng.injector
     gi = np.arange(n)
     pairs = p * p - int((gsize * gsize).sum())  # rank pairs across groups
+    # A leader's blob builds are one batch: its group's rows outside its
+    # own group's columns.
     if sv.is_const:
-        # Build charges: gsize[i]*gsize[og] copies of `const` per other
-        # group og — all equal, so the whole fold collapses into one.
         eng.const_copies_at(leads, sv.const, gsize * (p - gsize))
         blob_rows = None
         blob_total = sv.const * pairs
     else:
-        # A leader's (og, source, destination)-ordered block sequence is
-        # its group's rows regrouped; a ragged last group's padding and
-        # the own-group entries fold as +0.0.
+        # blocks[i, :, og, :] is group i's block for group og; a ragged
+        # last group's padding is empty.
         mat = sv.mat if n * g == p else np.pad(sv.mat, (0, n * g - p))
-        counts = mat.reshape(n, g, n, g).transpose(0, 2, 1, 3).copy()
-        counts[gi, gi] = 0
-        eng.copies_at(leads, counts.reshape(n, -1))
-        blob_rows = counts.sum(axis=(2, 3))
+        blocks = mat.reshape(n, g, n, g)
+        blob_rows = blocks.sum(axis=(1, 3))
+        nz = (blocks != 0).sum(axis=(1, 3))
+        blob_rows[gi, gi] = nz[gi, gi] = 0
+        eng.blocks_at(leads, nz.sum(axis=1), blob_rows.sum(axis=1))
         blob_total = int(blob_rows.sum())
-        del mat, counts
+        del mat, blocks
     eng.total_messages += 2 * n * (n - 1)
     eng.total_bytes += 8 * pairs + blob_total
 
@@ -1498,13 +1448,9 @@ def _eval_locality_padded(eng: _Engine, sv: _SizeView, *,
 
     super_n = ppn * ppn * max_n
     with eng.phase("inter_bruck"):
-        # Super-block build: per destination node h (ascending), one
-        # hsize·N copy per member (ascending) — zero columns pad the
-        # partial last node and fold free.
-        base = np.repeat(lsize * max_n, ppn)               # (nn*ppn,)
-        member_ok = np.arange(ppn)[None, :] < lsize[:, None]
-        counts = base[None, :] * np.tile(member_ok, (1, nn))
-        eng.copies_at(leads, counts)
+        # Super-block build: one hsize·N copy per (destination node h,
+        # member) pair, P·N bytes per member.
+        eng.blocks_at(leads, lsize * nn, lsize * p * max_n)
         eng.compute_at(leads, nn * ROT_INDEX_COST_PER_PROC)
         eng.const_copies_at(leads, super_n, 1)             # self super-block
         node_i = np.arange(nn, dtype=np.int64)
@@ -1528,7 +1474,7 @@ def _eval_locality_padded(eng: _Engine, sv: _SizeView, *,
             lambda sel, mem, j: eng.const_copies_at(sel, max_n, p))
 
     with eng.phase("scan"):
-        eng.charge_copies(sv.col())
+        eng.charge_copies(sv.row(), axis=0)      # column r: rank r's recvs
 
 
 def _eval_locality_two_phase(eng: _Engine, sv: _SizeView, *,

@@ -24,8 +24,9 @@ derived ``duration``), so exporters can draw slices without re-deriving
 cost-model internals.  Events are deterministic: simulated clocks depend
 only on the communication structure, never on OS scheduling.
 
-Copies — nearly all events of a staged non-uniform run — are the one kind
-:class:`RankTrace` stores as columns rather than objects (DESIGN.md 5.1.1).
+Copies are the one kind :class:`RankTrace` stores as columns rather than
+objects (DESIGN.md 5.1.1); a ``charge_copies`` batch is one copy event
+carrying its block count and byte total.
 
 The tracer API is the abstract base :class:`TraceBase`; besides
 :class:`RankTrace` the runtime ships :class:`NullTrace` (tracing disabled)
@@ -112,11 +113,13 @@ class RecvEvent:
 
 @dataclass(frozen=True)
 class CopyEvent:
-    """One explicit local memory copy."""
+    """One explicit local memory copy, or a batch of ``nblocks`` copies
+    moving ``nbytes`` bytes in all, charged as one clock advance."""
 
     nbytes: int
     clock: float  # simulated clock after the copy
     begin: Optional[float] = None
+    nblocks: int = 1
 
     @property
     def start(self) -> float:
@@ -244,18 +247,13 @@ class TraceBase(abc.ABC):
                     begin: Optional[float] = None) -> None:
         """One explicit local copy finishing at simulated clock ``clock``."""
 
-    def record_copies(self, nbytes: np.ndarray, clocks: np.ndarray) -> None:
-        """A run of back-to-back copies: copy ``i`` moves ``nbytes[i]``
-        bytes over ``[clocks[i], clocks[i + 1]]``.
-
-        Concrete rather than abstract: the default replays the run through
-        :meth:`record_copy`, one call per copy in order, so a tracer that
-        implements only the abstract hooks still sees every copy.
-        """
-        stamps = np.asarray(clocks, dtype=np.float64).tolist()
-        for n, begin, clock in zip(np.asarray(nbytes).tolist(), stamps,
-                                   stamps[1:]):
-            self.record_copy(n, clock, begin=begin)
+    def record_copy_blocks(self, nblocks: int, nbytes: int, clock: float,
+                           begin: float) -> None:
+        """A batch of ``nblocks`` copies moving ``nbytes`` bytes in all,
+        charged as one clock advance over ``[begin, clock]``.  The default
+        records it as one :meth:`record_copy`, so a tracer implementing
+        only the abstract hooks still sees every byte copied."""
+        self.record_copy(nbytes, clock, begin=begin)
 
     @abc.abstractmethod
     def record_datatype(self, kind: str, nblocks: int, nbytes: int,
@@ -291,8 +289,8 @@ class RankTrace(TraceBase):
     """Mutable per-rank event log.
 
     Only the owning rank appends to a :class:`RankTrace`, so no locking
-    is needed.  Copies live in three typed columns (24 bytes per
-    copy), every other kind in a list of typed events.
+    is needed.  Copies live in four typed columns (32 bytes per copy
+    event), every other kind in a list of typed events.
     """
 
     __slots__ = ("sends", "recvs", "_copies", "datatype_ops", "phases",
@@ -302,8 +300,8 @@ class RankTrace(TraceBase):
         super().__init__(rank)
         self.sends: List[SendEvent] = []
         self.recvs: List[RecvEvent] = []
-        # Columns: nbytes, start, end.
-        self._copies = array("q"), array("d"), array("d")
+        # Columns: nbytes, start, end, nblocks.
+        self._copies = array("q"), array("d"), array("d"), array("q")
         self.datatype_ops: List[DatatypeEvent] = []
         self.phases: List[PhaseEvent] = []
         self.collectives: List[CollectiveEvent] = []
@@ -322,17 +320,16 @@ class RankTrace(TraceBase):
 
     def record_copy(self, nbytes: int, clock: float,
                     begin: Optional[float] = None) -> None:
-        nbytes_col, start_col, end_col = self._copies
-        nbytes_col.append(nbytes)
-        start_col.append(clock if begin is None else begin)
-        end_col.append(clock)
+        self.record_copy_blocks(1, nbytes, clock,
+                                clock if begin is None else begin)
 
-    def record_copies(self, nbytes: np.ndarray, clocks: np.ndarray) -> None:
-        clocks = np.asarray(clocks, dtype=np.float64)
-        nbytes_col, start_col, end_col = self._copies
-        nbytes_col.frombytes(np.asarray(nbytes, dtype=np.int64).tobytes())
-        start_col.frombytes(clocks[:-1].tobytes())
-        end_col.frombytes(clocks[1:].tobytes())
+    def record_copy_blocks(self, nblocks: int, nbytes: int, clock: float,
+                           begin: float) -> None:
+        nbytes_col, start_col, end_col, nblocks_col = self._copies
+        nbytes_col.append(nbytes)
+        start_col.append(begin)
+        end_col.append(clock)
+        nblocks_col.append(nblocks)
 
     def record_datatype(self, kind: str, nblocks: int, nbytes: int,
                         clock: float, begin: Optional[float] = None) -> None:
@@ -360,16 +357,16 @@ class RankTrace(TraceBase):
 
     # -- queries ---------------------------------------------------------
     def copy_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every copy so far as ``(nbytes, start, end)`` arrays (int64,
-        float64, float64), in program order.  Snapshots, not views."""
-        nbytes, start, end = (np.array(column) for column in self._copies)
-        return nbytes, start, end
+        """Every copy event so far as ``(nbytes, start, end)`` arrays
+        (int64, float64, float64), in program order.  Snapshots, not
+        views."""
+        return tuple(np.array(column) for column in self._copies[:3])
 
     @property
     def copies(self) -> List[CopyEvent]:
         """The copies as typed events, built from the columns per call."""
-        return [CopyEvent(n, end, start)
-                for n, start, end in zip(*self._copies)]
+        return [CopyEvent(n, end, start, k)
+                for n, start, end, k in zip(*self._copies)]
 
     @property
     def bytes_sent(self) -> int:
@@ -382,6 +379,11 @@ class RankTrace(TraceBase):
     @property
     def bytes_copied(self) -> int:
         return sum(self._copies[0])
+
+    @property
+    def copy_count(self) -> int:
+        """Blocks copied: a batch counts each of its blocks."""
+        return sum(self._copies[3])
 
     @property
     def message_count(self) -> int:
@@ -443,7 +445,7 @@ class NullTrace(TraceBase):
     def record_copy(self, *args: object, **kwargs: object) -> None:
         pass
 
-    def record_copies(self, *args: object, **kwargs: object) -> None:
+    def record_copy_blocks(self, *args: object, **kwargs: object) -> None:
         pass
 
     def record_datatype(self, *args: object, **kwargs: object) -> None:
@@ -507,9 +509,10 @@ class MetricsTrace(TraceBase):
         self.copy_count += 1
         self.bytes_copied += nbytes
 
-    def record_copies(self, nbytes: np.ndarray, clocks: np.ndarray) -> None:
-        self.copy_count += len(nbytes)
-        self.bytes_copied += int(np.sum(nbytes))
+    def record_copy_blocks(self, nblocks: int, nbytes: int, clock: float,
+                           begin: float) -> None:
+        self.copy_count += nblocks
+        self.bytes_copied += nbytes
 
     def record_datatype(self, kind: str, nblocks: int, nbytes: int,
                         clock: float, begin: Optional[float] = None) -> None:

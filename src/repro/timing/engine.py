@@ -90,10 +90,10 @@ def copy_time_vec(machine: MachineProfile, nbytes: ArrayLike) -> ArrayLike:
 def copy_time_blocks(machine: MachineProfile, nblocks: ArrayLike,
                      total_bytes: ArrayLike) -> ArrayLike:
     """Cost of ``nblocks`` separate copies totalling ``total_bytes`` bytes
-    (per-copy setup ``kappa`` paid once per block)."""
-    nblocks = np.asarray(nblocks, dtype=np.float64)
-    total_bytes = np.asarray(total_bytes, dtype=np.float64)
-    return nblocks * machine.kappa_mem + machine.gamma_mem * total_bytes
+    (per-copy setup ``kappa`` paid once per block):
+    ``MachineProfile.copy_time_blocks``, the one batch-copy rule."""
+    return machine.copy_time_blocks(np.asarray(nblocks, dtype=np.float64),
+                                    np.asarray(total_bytes, dtype=np.float64))
 
 
 def datatype_time_vec(machine: MachineProfile, nblocks: ArrayLike,

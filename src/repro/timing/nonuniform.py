@@ -208,10 +208,11 @@ def _uniform_zero_rotation_clocks(machine: MachineProfile, p: int,
     clocks = clocks + machine.copy_time(block_n)  # self block
     for sub in bruck_substeps(p, radix):
         m = len(sub.distances)
-        clocks = clocks + m * machine.copy_time(block_n)
+        batch = machine.copy_time_blocks(m, m * block_n)
+        clocks = clocks + batch
         clocks = bruck_step(clocks, machine, p, sub.jump,
                             float(m * block_n))
-        clocks = clocks + m * machine.copy_time(block_n)
+        clocks = clocks + batch
     return clocks
 
 

@@ -35,6 +35,7 @@ from repro.simmpi import (
     FaultPlan,
     MessageCorruptError,
     SimMPIError,
+    WireCountError,
     run_spmd,
 )
 from repro.workloads import (
@@ -302,6 +303,29 @@ def test_byzantine_delivery_without_verify_is_never_silent(
     # A silent pass is the one forbidden outcome; pytest.raises above
     # already guarantees that, and the message must carry a diagnosis.
     assert str(exc.value), "empty failure message"
+
+
+#: The kernels that size a buffer from a count read off the wire.
+METADATA_SIZED = ("grouped", "locality_padded_bruck",
+                  "locality_two_phase_bruck", "padded_alltoall",
+                  "padded_bruck", "two_phase_bruck")
+
+
+@pytest.mark.parametrize("algorithm", METADATA_SIZED)
+def test_poisoned_count_is_a_typed_error_before_any_allocation(
+        algorithm, bounded_address_space):
+    """Without the verify tier a tampered count reaches the kernel.  It
+    must end in the attributed ``WireCountError`` before it sizes
+    anything — not in the capped allocation's ``MemoryError``, which an
+    uncapped run would instead grant and then fill."""
+    plan = FaultPlan.parse("corrupt:p=1")
+    with pytest.raises(WireCountError) as exc:
+        _run(algorithm, backend="coop", fault_plan=plan,
+             on_fault="retry", verify=True, reliability="retry")
+    err = exc.value
+    assert 0 <= err.rank < NPROCS
+    assert not 0 <= err.value < 2 ** 31
+    assert f"rank {err.rank}" in str(err) and err.collective in str(err)
 
 
 def test_byzantine_escape_is_named_for_direct_algorithms():

@@ -3,6 +3,8 @@ cost hooks, and clock determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simmpi import (
     LOCAL,
@@ -14,6 +16,8 @@ from repro.simmpi import (
     run_spmd,
 )
 from repro.simmpi.datatype import IndexedBlocks
+from repro.simmpi.tensor import _Engine
+from repro.timing.engine import copy_time_blocks
 
 from ..conftest import SMALL_PROCS
 
@@ -281,6 +285,42 @@ class TestCostHooks:
         assert times["alpha"] == pytest.approx(1.0)
         assert times["beta"] == pytest.approx(2.5)
         assert times["beta.inner"] == pytest.approx(0.5)
+
+
+@given(counts=st.lists(st.integers(-2 ** 40, 2 ** 40) | st.just(0),
+                       max_size=40),
+       start=st.floats(0.0, 1.0), lanes=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_one_batch_rule_in_both_engines(counts, start, lanes):
+    """One ``charge_copies`` call advances a coop clock, and every tensor
+    lane, by exactly ``copy_time_blocks(nz, bytes)`` over the positive
+    entries — zeros, negatives and empty batches included."""
+    arr = np.array(counts, dtype=np.int64)
+    pos = arr[arr > 0]
+    expected = start + copy_time_blocks(THETA, pos.size, pos.sum())
+
+    def prog(comm):
+        comm.charge_compute(start)
+        comm.charge_copies(arr)
+        return comm.clock
+
+    coop = run_spmd(prog, 1, config=ExecutionConfig(machine=THETA))
+    assert coop.returns[0] == expected
+
+    eng = _Engine(lanes, THETA, None, lockstep=False)
+    eng.clocks[:] = start
+    eng.charge_copies(arr)                              # shared batch
+    assert eng.clocks.tolist() == [float(expected)] * lanes
+    # Per-lane batches: lane i charges the first i entries.
+    rows = np.zeros((lanes, arr.size), dtype=np.int64)
+    for i in range(lanes):
+        rows[i, :i] = arr[:i]
+    eng.clocks[:] = start
+    eng.charge_copies(rows)
+    assert eng.clocks.tolist() == [
+        float(start + copy_time_blocks(THETA, (arr[:i] > 0).sum(),
+                                       arr[:i][arr[:i] > 0].sum()))
+        for i in range(lanes)]
 
 
 class TestDeterminism:
