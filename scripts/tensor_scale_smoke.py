@@ -12,9 +12,11 @@ One cell runs the other way — one lane per rank over a real size matrix:
 power-law two-phase Bruck at P=4096, its clocks first checked against
 the coop backend at P=256 on the same distribution — so the L=P lanes
 path is exercised at scale outside the host benchmark too.  Its
-`tracemalloc` peak stays under 48 MiB: a copy batch is two integer
-reductions per lane, so no (P/2) x P float64 block of per-copy seconds is
-held (that block alone is 64 MiB there).  A second
+`tracemalloc` peak stays under 28 MiB (~19 MiB measured): the 16 MiB
+`uint8` distance-major state is built one band of ranks at a time, with
+no second narrowed P x P copy beside it (that copy put the peak at 32
+MiB), and a copy batch is two integer reductions per lane, so no (P/2) x
+P float64 block of per-copy seconds is held (64 MiB there).  A second
 check cell pins the leader-based `grouped` kernel to coop on a ragged
 layout (P=250 in groups of 8: 31 full groups and one of 2) over a
 power-law matrix, and its 32K-rank run must keep O(n_groups) state: a
@@ -33,7 +35,7 @@ from repro.simmpi import ExecutionConfig, THETA, run_spmd
 from repro.simmpi.tensor import TensorAlltoall, TensorAlltoallv
 from repro.workloads import PowerLawBlocks, block_size_matrix
 
-LANES_P, LANES_CHECK_P, LANES_PEAK_MIB = 4096, 256, 48
+LANES_P, LANES_CHECK_P, LANES_PEAK_MIB = 4096, 256, 28
 GROUPED_CHECK_P, GROUPED_PEAK_MIB = 250, 16
 
 

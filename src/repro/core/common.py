@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..simmpi.errors import WireCountError
 
@@ -243,6 +244,12 @@ def total_forwarded_blocks(nprocs: int, radix: int = 2) -> int:
     return sum(len(s.distances) for s in bruck_substeps(nprocs, radix))
 
 
+#: Ranks per band of :meth:`BlockSizeState.from_matrix`, and the side of
+#: the square tiles it copies out: a band's ``[band | band]`` buffer is
+#: ``2 P`` entries per rank (1 MiB of ``uint8`` at P = 2048).
+_STATE_BAND = 256
+
+
 class BlockSizeState:
     """Who holds how many bytes, addressed by distance instead of by rank.
 
@@ -281,19 +288,37 @@ class BlockSizeState:
 
         ``rows`` takes the narrowest unsigned dtype that holds the largest
         size (``uint8`` for N <= 255): readers widen before any arithmetic.
+
+        Built ``_STATE_BAND`` ranks at a time: each band of ``sizes`` rows
+        is narrowed once into a ``[band | band]`` buffer (laid out like
+        ``sizes``, so a transposed input reads as fast), and rank
+        ``r0 + t``'s column of ``rows`` is that buffer's row ``t`` read
+        backwards from ``r0 + t + P`` — one skewed view for the band,
+        copied out in square tiles.  Neither a ``P x 2P`` nor a narrowed
+        ``P x P`` temporary exists.
         """
         p = sizes.shape[0]
         if sizes.shape != (p, p):
             raise ValueError(f"size matrix must be square, got {sizes.shape}")
-        # Narrowed first, so the strided diagonal reads below stay in cache.
-        sizes = sizes.astype(np.min_scalar_type(int(sizes.max(initial=0))))
-        rows = np.empty_like(sizes, order="C")
-        for i in range(p):
-            # Wrapped diagonal i: ranks r >= i hold sizes[r, r - i], ranks
-            # r < i hold sizes[r, r - i + P].  Each half is one strided
-            # view of the matrix.
-            rows[i, i:] = sizes.diagonal(-i)
-            rows[i, :i] = sizes.diagonal(p - i)
+        dtype = np.min_scalar_type(int(sizes.max(initial=0)))
+        rows = np.empty((p, p), dtype=dtype)
+        tile = _STATE_BAND
+        width = min(tile, p)
+        if abs(sizes.strides[0]) >= abs(sizes.strides[1]):
+            buf = np.empty((width, 2 * p), dtype=dtype)
+        else:
+            buf = np.empty((2 * p, width), dtype=dtype).T
+        for r0 in range(0, p, tile):
+            band = buf[:p - r0]                 # the last band may be short
+            band[:, :p] = sizes[r0:r0 + tile]
+            band[:, p:] = band[:, :p]
+            # wrapped[i, t] = band[t, r0 + t + P - i]
+            #               = sizes[r0 + t, (r0 + t - i) % P]
+            step_t, step_c = band.strides
+            wrapped = as_strided(band[:, r0 + 1:], shape=(p, len(band)),
+                                 strides=(step_c, step_t + step_c))[::-1]
+            for i0 in range(0, p, tile):
+                rows[i0:i0 + tile, r0:r0 + tile] = wrapped[i0:i0 + tile]
         return cls(rows)
 
     @classmethod
@@ -301,6 +326,15 @@ class BlockSizeState:
                 lanes: int) -> "BlockSizeState":
         """Every block ``nbytes`` long; one lane can stand for all ranks."""
         return cls(np.full((nprocs, lanes), nbytes, dtype=np.int64))
+
+    def sum_dtype(self, count: int) -> np.dtype:
+        """Accumulator for a column sum of ``count`` rows: ``uint32`` while
+        ``count`` times the dtype's maximum stays below ``2**32`` (so it
+        cannot wrap, and it is about twice as fast as int64), else int64."""
+        if (self.rows.dtype.kind == "u"
+                and count * int(np.iinfo(self.rows.dtype).max) < 1 << 32):
+            return np.dtype(np.uint32)
+        return np.dtype(np.int64)
 
     def read(self, distances: np.ndarray,
              out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -375,10 +409,13 @@ _MPI_INT_LIMIT = 1 << 31
 
 
 def checked_wire_counts(comm, collective: str, counts,
-                        extent: Optional[int] = None) -> np.ndarray:
+                        extent: Optional[int] = None,
+                        carried: Optional[int] = None) -> np.ndarray:
     """``counts`` read off the wire, as int64, once each of them and
     ``extent`` — the buffer they size (default: their sum) — is known to
-    lie in MPI's ``int`` range; else a ``WireCountError``."""
+    lie in MPI's ``int`` range and, when the counts describe a message
+    already received, to equal the ``carried`` bytes; else a
+    ``WireCountError``."""
     arr = np.asarray(counts, dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= _MPI_INT_LIMIT):
         bad = (arr < 0) | (arr >= _MPI_INT_LIMIT)
@@ -388,6 +425,9 @@ def checked_wire_counts(comm, collective: str, counts,
         extent = int(arr.sum())      # below 2**63: every count is below 2**31
     if not 0 <= extent < _MPI_INT_LIMIT:
         raise WireCountError(comm.rank, collective, "buffer extent", extent)
+    if carried is not None and extent != carried:
+        raise WireCountError(comm.rank, collective, "buffer extent", extent,
+                             carried=carried)
     return arr
 
 

@@ -163,10 +163,13 @@ def sloav_alltoallv(comm: Communicator, sendbuf: np.ndarray,
                           control=True)
             # Unpack: separate meta from data (§6.1(1) again), then park
             # every received block in the temp store — SLOAV defers final
-            # placement to the scan.
+            # placement to the scan.  The size array must account for the
+            # combined buffer to the byte, or a poisoned entry would park
+            # a short block.
             meta_in = incoming[:4 * m].copy().view(_META_DTYPE)
             checked_wire_counts(comm, "sloav", meta_in,
-                                extent=4 * m + int(meta_in.sum()))
+                                extent=4 * m + int(meta_in.sum()),
+                                carried=incoming.nbytes)
             comm.charge_copy(4 * m)
             pos = 4 * m
             for a, j in enumerate(dist):

@@ -186,17 +186,22 @@ class MessageCorruptError(SimMPIError):
 
 class WireCountError(SimMPIError, ValueError):
     """A count read off the wire, or the buffer extent it sets, is not a
-    C ``int`` in ``[0, 2**31)``.  Raised before anything is allocated, so
-    poisoned metadata (tampered bytes delivered without the verify tier)
-    ends here rather than in a multi-GiB allocation."""
+    C ``int`` in ``[0, 2**31)`` — or, when the counts describe a message
+    already received (``carried`` bytes), does not add up to it.  Raised
+    before anything is allocated or parked, so poisoned metadata (tampered
+    bytes delivered without the verify tier) ends here rather than in a
+    multi-GiB allocation or a short block."""
 
     def __init__(self, rank: int, collective: str, what: str,
-                 value: int) -> None:
+                 value: int, carried: Optional[int] = None) -> None:
+        why = ("MPI counts must lie in [0, 2**31)" if carried is None
+               else f"the message carried {carried} bytes")
         super().__init__(
             f"rank {rank}: {collective} read {what} {value} off the wire; "
-            f"MPI counts must lie in [0, 2**31)"
+            f"{why}"
         )
         self.rank = rank
         self.collective = collective
         self.what = what
         self.value = value
+        self.carried = carried

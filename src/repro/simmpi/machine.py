@@ -62,9 +62,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-#: Version of the cost model implemented by this module.  Bumped whenever a
-#: change alters simulated clocks (so committed benchmark results can carry
-#: the version they were produced under and stale files fail loudly).
+#: Version of the cost model implemented by this module, printed in every
+#: committed figure's header and stamped on every ledger record (the
+#: tuner ignores records of another version).  Bumped when a change alters
+#: what the model predicts at the printed precision of the committed
+#: figures — a new term, a re-shaped charge — so stale files fail loudly.
+#: A declared change that moves clocks only in their last bits (every
+#: committed figure unchanged as printed, e.g. one copy charge per batch)
+#: does not bump it; CHANGES.md lists each such change and the digests it
+#: moves instead.
 #: v2: piecewise eager tiering (monotone serial_time) + two-level hierarchy.
 MACHINE_MODEL_VERSION = 2
 

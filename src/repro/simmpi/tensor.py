@@ -59,8 +59,10 @@ __all__ = ["TensorProgram", "TensorAlltoall", "TensorAlltoallv",
 
 _INTERNAL_TAG_STRIDE = 8   # mirrors communicator._INTERNAL_TAG_STRIDE
 _FOLD_CHUNK = 512          # accumulate block width for per-lane folds
-#: Rows of a substep are read, counted and rolled this many bytes (per
-#: array) at a time, so the passes stay in cache at large L.
+#: Rows of a substep are read, counted and rolled this many bytes of
+#: state at a time — ``_PIECE_BYTES // (rows.itemsize * L)`` rows, so a
+#: narrow state moves in proportionally taller pieces — and the passes
+#: stay in cache at large L.
 _PIECE_BYTES = 1 << 18
 
 #: Node-aware kernels whose leader/member programs diverge whenever the
@@ -1007,6 +1009,18 @@ def _eval_zero_rotation(eng: _Engine, n: int, *, tag_base: int = 0,
             eng.charge_copies(np.full(m, n, dtype=np.int64))
 
 
+def _odd_parity_count(values: np.ndarray) -> int:
+    """How many of the non-negative ``values`` have an odd number of set
+    bits.  A xor-fold leaves each value's parity in its lowest bit
+    (``np.bitwise_count`` would need NumPy 2); ``values`` is consumed."""
+    width = int(values.max(initial=0)).bit_length()
+    shift = 1
+    while shift < width:
+        values ^= values >> shift
+        shift <<= 1
+    return int(np.count_nonzero(values & 1))
+
+
 def _eval_zero_copy(eng: _Engine, n: int, *, tag_base: int = 0) -> None:
     p = eng.p
     if n == 0:
@@ -1015,14 +1029,10 @@ def _eval_zero_copy(eng: _Engine, n: int, *, tag_base: int = 0) -> None:
     with eng.phase("initial_rotation"):
         eng.charge_copies(np.full(p, n, dtype=np.int64))
     with eng.phase("communication"):
-        for k in range(common.num_steps(p)):
-            dist = common.send_block_distances(k, p)
-            if not dist:
-                continue
-            m = len(dist)
+        for sub in common.bruck_substeps(p, 2):
+            k, m = sub.step, len(sub.distances)
             # Remaining-hop parity split: mr blocks travel R→T, mt T→R.
-            mr = sum(1 for i in dist
-                     if int(i >> (k + 1)).bit_count() % 2 == 1)
+            mr = _odd_parity_count(sub.distances >> (k + 1))
             mt = m - mr
             if mr:
                 eng.charge_datatype(mr, mr * n)   # pack from R
@@ -1082,10 +1092,11 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
     # Scratch for one cache-sized piece of a substep's moving rows,
     # allocated once per run.
     widest = max((len(sub.distances) for sub in subs), default=0)
-    piece = max(1, _PIECE_BYTES // (8 * L))
+    piece = max(1, _PIECE_BYTES // (state.rows.itemsize * L))
     counts = np.empty((min(piece, widest), L), dtype=state.rows.dtype)
     for sub in subs:
         m = len(sub.distances)
+        acc = state.sum_dtype(m)
         with eng.phase("metadata_exchange"):
             eng.exchange(-sub.jump, 4 * m, tag_base + 2 * sub.index)
         with eng.phase("data_exchange"):
@@ -1097,7 +1108,7 @@ def _eval_two_phase(eng: _Engine, sv: _SizeView, *, tag_base: int = 0,
             for lo in range(0, m, piece):
                 dist = sub.distances[lo:lo + piece]
                 moving = state.read(dist, out=counts[:len(dist)])
-                out_total += moving.sum(axis=0, dtype=np.int64)
+                out_total += moving.sum(axis=0, dtype=acc)
                 nz_out += (moving != 0).sum(axis=0, dtype=np.uint32)
                 state.roll(dist, sub.jump, moving)
             pack = eng.machine.copy_time_blocks(nz_out, out_total)

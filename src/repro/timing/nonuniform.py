@@ -160,11 +160,13 @@ def _two_phase_exact(machine: MachineProfile, sizes: np.ndarray,
                             _META_ENTRY_BYTES * len(sub.distances))
         # Integer column sums over the moving rows: per-rank bytes and
         # non-empty block count (order-free, so exact in any layout),
-        # widened from the state's narrow dtype before they add.  A count
+        # widened from the state's narrow dtype before they add — into
+        # uint32 wherever it cannot overflow (``sum_dtype``).  A count
         # never exceeds P, so a uint32 accumulator holds it; it is about
         # twice as fast as count_nonzero's intp one.
         moving = state.read(sub.distances)
-        bytes_out = moving.sum(axis=0, dtype=np.int64).astype(np.float64)
+        bytes_out = moving.sum(axis=0, dtype=state.sum_dtype(
+            len(sub.distances))).astype(np.float64)
         nz_out = (moving != 0).sum(axis=0, dtype=np.uint32).astype(np.float64)
         clocks = clocks + copy_time_blocks(machine, nz_out, bytes_out)  # pack
         clocks = bruck_step(clocks, machine, p, sub.jump, bytes_out)

@@ -269,17 +269,31 @@ class TestScheduleCache:
             bruck_substeps(0, 2)
 
 
+def _wrapped_diagonals(sizes):
+    """The closed form ``rows[i, r] = sizes[r, (r - i) % P]``, at int64."""
+    n = sizes.shape[0]
+    i, rank = np.ogrid[:n, :n]
+    return sizes.astype(np.int64)[rank, (rank - i) % n]
+
+
 class TestBlockSizeState:
     """The distance-major block-size state and its one transition."""
 
     @given(p=st.integers(2, 96), r=st.sampled_from([2, 3, 4, 8]),
+           band=st.sampled_from([1, 3, 7, 256]),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_rows_follow_the_closed_form(self, p, r, seed):
+    def test_rows_follow_the_closed_form(self, p, r, band, seed):
+        from repro.core import common
         from repro.core.common import BlockSizeState, bruck_substeps
         # Small support so the matrix is full of zeros and repeats.
         sizes = np.random.default_rng(seed).integers(0, 4, (p, p))
-        state = BlockSizeState.from_matrix(sizes)
+        # Narrow bands: several of them per matrix, the last one ragged.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(common, "_STATE_BAND", band)
+            state = BlockSizeState.from_matrix(sizes)
+            arrived = BlockSizeState.from_matrix(sizes.T)
+        assert np.array_equal(state.rows, _wrapped_diagonals(sizes))
         ranks = np.arange(p)
         assert state.rows[0].tolist() == np.diagonal(sizes).tolist()
         for sub in bruck_substeps(p, r):
@@ -297,11 +311,44 @@ class TestBlockSizeState:
             state.roll(dist, sub.jump, moving)
         # Every block has arrived: row i is what each rank receives from
         # the rank i above it — the receive-side state read backwards.
-        arrived = BlockSizeState.from_matrix(sizes.T)
         for i in range(p):
             assert np.array_equal(state.rows[i], arrived.rows[-i % p])
             assert np.array_equal(arrived.rows[i],
                                   sizes[(ranks - i) % p, ranks])
+
+    @pytest.mark.parametrize("p", [1, 255, 256, 257, 513])
+    def test_bands_around_their_width(self, p):
+        """One rank short of, at, and past one and two default bands, for
+        a C-ordered matrix and for strided views of one — ``sizes.T`` is
+        what ``_spread_out_exact`` passes."""
+        from repro.core.common import BlockSizeState
+        rng = np.random.default_rng(p)
+        sizes = rng.integers(0, 300, (p, p))
+        for given_sizes in (sizes, sizes.T, np.asfortranarray(sizes),
+                            sizes[::-1, ::-1]):
+            rows = BlockSizeState.from_matrix(given_sizes).rows
+            assert rows.dtype == np.min_scalar_type(int(sizes.max()))
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows, _wrapped_diagonals(given_sizes))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_byte_sums_take_uint32_while_they_cannot_wrap(self, dtype):
+        from repro.core.common import BlockSizeState
+        top = int(np.iinfo(dtype).max)
+        edge = (2 ** 32 - 1) // top        # the most rows uint32 still holds
+        state = BlockSizeState(np.zeros((2, 2), dtype=dtype))
+        assert edge * top < 2 ** 32 <= (edge + 1) * top
+        assert state.sum_dtype(edge) == np.uint32
+        assert state.sum_dtype(edge + 1) == np.int64
+        # At the edge every row at the maximum still sums exactly.
+        rows = np.full((min(edge, 70000), 1), top, dtype=dtype)
+        assert int(rows.sum(axis=0, dtype=state.sum_dtype(edge))[0]) \
+            == len(rows) * top
+        # Full-width states (the constant-size lanes) always take int64.
+        assert BlockSizeState(np.zeros((2, 1), dtype=np.uint64)) \
+            .sum_dtype(1) == np.int64
+        assert BlockSizeState.uniform(4, 64, lanes=1).sum_dtype(1) \
+            == np.int64
 
     def test_read_into_scratch(self):
         from repro.core.common import BlockSizeState, bruck_substeps
@@ -333,9 +380,7 @@ class TestBlockSizeState:
 
             @classmethod
             def from_matrix(cls, sizes):
-                n = sizes.shape[0]
-                i, rank = np.ogrid[:n, :n]
-                return cls(sizes.astype(np.int64)[rank, (rank - i) % n])
+                return cls(_wrapped_diagonals(sizes))
 
         # Mostly tiny blocks, a few at the maximum: the widest value sets
         # the dtype while functional runs stay cheap.

@@ -328,6 +328,23 @@ def test_poisoned_count_is_a_typed_error_before_any_allocation(
     assert f"rank {err.rank}" in str(err) and err.collective in str(err)
 
 
+def test_sloav_size_array_must_add_up_to_its_message(bounded_address_space):
+    """SLOAV reads its size array out of the combined buffer it describes.
+    A tampered entry that stays inside ``[0, 2**31)`` passes the range
+    check; the sizes must still add up to the bytes the message carried,
+    or the run ends in an attributed ``WireCountError`` — not in numpy's
+    broadcast error on the next step's pack of a short parked block."""
+    plan = FaultPlan.parse("corrupt:p=1")
+    with pytest.raises(WireCountError) as exc:
+        _run("sloav", backend="coop", fault_plan=plan, on_fault="retry",
+             verify=False, seed=17, reliability="retry")
+    err = exc.value
+    assert err.collective == "sloav" and 0 <= err.rank < NPROCS
+    assert err.carried is not None and err.value != err.carried
+    assert f"rank {err.rank}: sloav" in str(err)
+    assert f"carried {err.carried} bytes" in str(err)
+
+
 def test_byzantine_escape_is_named_for_direct_algorithms():
     """Arm 4, sharpened: for direct algorithms (no metadata riding the
     wire) the corruption reaches the data buffers intact-shaped, and the
